@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import BundleError, ConicBundle
+from .bundles import BundleError, ConicBundle, discriminant
 from .exactmath import MultiPoly, RatFunc, is_square_rat, legendre
 from .exactmath.modular import (
     PrimeWitness,
@@ -456,14 +456,38 @@ def no_section_certificate(cb: ConicBundle,
                            prime_bound: int = DEFAULT_PRIME_BOUND):
     """First residue of the bundle's diagonal model with a proven
     non-square value, scanning places in canonical order; None means
-    inconclusive."""
+    inconclusive.  See `certificate_from_residues` for the places
+    searched."""
     if cb.has_flag("rational-by-section"):
         raise BrauerError(
             "bundle is flagged rational-by-section: it has a section")
     if cb.has_flag("degenerate-discriminant"):
         raise BundleError("discriminant vanishes identically")
     pair = brauer_model(cb)
-    for rc in residues_all(pair, prime_bound):
+    return certificate_from_residues(cb, residues_all(pair, prime_bound),
+                                     prime_bound)
+
+
+def certificate_from_residues(cb: ConicBundle, rcs,
+                              prime_bound: int = DEFAULT_PRIME_BOUND):
+    """First of the residues `rcs` of brauer_model(cb), in their order,
+    with a proven non-square value; None means inconclusive.
+
+    Only infinity and the finite places whose polynomial shares a
+    factor with the affine discriminant Delta are searched; for an
+    irreducible place that means it divides Delta.  At every
+    irreducible factor of any other place the fiber form stays
+    nondegenerate modulo the factor, so the conic has good reduction
+    there and the residue of its Brauer class is trivial
+    (Colliot-Thelene & Skorobogatov, The Brauer-Grothendieck Group,
+    2021).  The value is then a square in the residue ring, the sound
+    witness search could never succeed there, and skipping the place
+    changes no certificate."""
+    _, delta = as_univariate(discriminant(cb).delta_affine, "t")
+    for rc in rcs:
+        if not rc.place.is_infinite and \
+                len(ugcd_monic(delta, list(rc.place.f))) <= 1:
+            continue
         if rc.provably_trivial():
             continue
         w = nonsquare_witness(rc, prime_bound)

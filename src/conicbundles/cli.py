@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .brauer import (
-    BrauerError,
-    no_section_certificate,
-    residues_all,
-)
+from .brauer import certificate_from_residues, residues_all
 from .bundles import (
     BundleError,
     Weights,
@@ -183,8 +179,14 @@ def cmd_discriminant(args, cfg):
     return code, payload, lines
 
 
+def _require_numeric(cb, what: str):
+    if cb.params:
+        raise CommandFailure(EXIT_INVALID, "%s needs a numeric bundle" % what)
+
+
 def cmd_diagonalize(args, cfg):
     cb = _load(args.file)
+    _require_numeric(cb, "diagonalization")
     form = generic_fiber_form(cb)
     try:
         diag = diagonalize(form)
@@ -206,6 +208,7 @@ def cmd_diagonalize(args, cfg):
 
 def cmd_residues(args, cfg):
     cb = _load(args.file)
+    _require_numeric(cb, "the residue table")
     if cb.has_flag("degenerate-discriminant"):
         raise CommandFailure(EXIT_DEGENERATE,
                              "discriminant vanishes identically")
@@ -219,10 +222,7 @@ def cmd_residues(args, cfg):
     except DegeneratePivot as exc:
         raise CommandFailure(EXIT_DEGENERATE, str(exc))
     rcs = residues_all(pair, cfg.prime_bound)
-    try:
-        cert = no_section_certificate(cb, cfg.prime_bound)
-    except (BrauerError, BundleError) as exc:
-        raise CommandFailure(EXIT_NO_CERTIFICATE, str(exc))
+    cert = certificate_from_residues(cb, rcs, cfg.prime_bound)
     lines = [
         "a = %s" % pair.a,
         "b = %s" % pair.b,
@@ -505,9 +505,7 @@ def cmd_mestre(args, cfg):
     if cb.weights.tuple != (4, 0, 0):
         raise CommandFailure(EXIT_INVALID,
                              "normal form needs weights (4, 0, 0)")
-    if cb.params:
-        raise CommandFailure(EXIT_INVALID,
-                             "normal form needs a numeric bundle")
+    _require_numeric(cb, "normal form")
     try:
         result = mestre_normal_form(cb)
     except MestreError as exc:

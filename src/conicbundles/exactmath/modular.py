@@ -1,7 +1,7 @@
-"""Prime and finite-field routines: deterministic Miller-Rabin for
-64-bit inputs, Pollard rho factoring, Legendre symbols, and F_p[t]
-arithmetic (gcd, modular exponentiation, distinct-degree
-irreducibility test, Cantor-Zassenhaus root extraction).
+"""Prime and finite-field routines: Baillie-PSW primality, Pollard
+rho factoring, Legendre symbols, and F_p[t] arithmetic (gcd, modular
+exponentiation, distinct-degree irreducibility test,
+Cantor-Zassenhaus root extraction).
 
 F_p[t] polynomials are lists of ints in [0, p), low degree first, no
 trailing zeros.
@@ -12,37 +12,99 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .multipoly import MultiPoly
-from .univariate import as_univariate
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
-    # deterministic for n < 3.3 * 10^24 with these bases
+    """Baillie-PSW test: trial division by the primes up to 37, a
+    strong Miller-Rabin test to base 2 and a strong Lucas test with
+    Selfridge's parameters (Baillie & Wagstaff, Math. Comp. 35, 1980).
+    Every answer below 2^64 is correct: the base-2 strong pseudoprimes
+    below 2^64 are all enumerated and none is a strong Lucas
+    pseudoprime.  Above 2^64 no composite that passes is known, but
+    none is proved impossible."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    if n < 41 * 41:
+        return True
+    return _strong_probable_prime_2(n) and _strong_lucas(n)
+
+
+def _strong_probable_prime_2(n: int) -> bool:
+    d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    s = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                s = -s
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            s = -s
+        a %= n
+    return s if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 37^2 without small
+    factors, with P = 1, Q = (1 - D)/4 and D the first of 5, -7, 9,
+    -11, ... with (D/n) = -1."""
+    r = isqrt(n)
+    if r * r == n:
+        return False  # no such D exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k, Q^k for k the leading bits of d, P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def next_prime(n: int) -> int:
@@ -91,6 +153,12 @@ def factorize(n: int) -> dict:
             continue
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            # rho needs about sqrt(p) steps on p^2; the root is free
+            stack.append(r)
+            stack.append(r)
             continue
         for p in (2, 3, 5, 7, 11, 13):
             if m % p == 0:
@@ -266,6 +334,7 @@ class PrimeWitness:
 
 def multipoly_int_coeffs(poly: MultiPoly):
     """Clear denominators of a univariate MultiPoly: integer list."""
+    from .univariate import as_univariate  # univariate imports factorize
     _, coeffs = as_univariate(poly)
     den = 1
     for c in coeffs:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .modular import factorize
 from .multipoly import MultiPoly
 
 
@@ -35,20 +36,11 @@ def squarefree_part_int(n: int) -> int:
     """Signed square-free part of an integer (sign preserved)."""
     if n == 0:
         return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * n
+    out = -1 if n < 0 else 1
+    for p, e in factorize(n).items():
+        if e % 2:
+            out *= p
+    return out
 
 
 def square_class_rat(q) -> Fraction:
@@ -138,13 +130,6 @@ def uderiv(a):
     return utrim([Fraction(a[i]) * i for i in range(1, len(a))])
 
 
-def ueval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def uexact_div(a, b):
     q, r = udivmod(a, b)
     if r:
@@ -209,33 +194,58 @@ def urational_roots(a):
     roots.extend([Fraction(0)] * k)
     a = a[k:]
     if len(a) > 1:
-        p = uprimitive(a)
-        a0 = int(p[0])
-        an = int(p[-1])
-        cands = set()
-        for num in _divisors(abs(a0)):
-            for den in _divisors(abs(an)):
-                if gcd(num, den) == 1:
-                    cands.add(Fraction(num, den))
-                    cands.add(Fraction(-num, den))
-        for r in sorted(cands):
-            while len(p) > 1 and not ueval(p, r):
-                roots.append(r)
-                p = uexact_div(p, [-r, Fraction(1)])
+        # a root num/den in lowest terms has num | a0 and den | an
+        p = [int(c) for c in uprimitive(a)]
+        for num, den in _root_candidates(p):
+            if len(p) == 1:
+                break
+            while len(p) > 1 and _is_root(p, num, den):
+                roots.append(Fraction(num, den))
+                p = [int(c) for c in uprimitive(uexact_div(p, [-num, den]))]
     return sorted(roots)
 
 
-def _divisors(n: int):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _divisors(n: int, cap: int):
+    """Positive divisors of n != 0 up to cap, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p ** i for d in out for i in range(e + 1)
+               if d * p ** i <= cap]
+    return sorted(out)
+
+
+def _root_candidates(p):
+    """(num, den) in lowest terms with num | p[0], 0 < den | p[-1] and
+    |num/den| within Fujiwara's bound 2 max |p[n-i] / p[n]|^(1/i),
+    rounded up to powers of two."""
+    n, an = len(p) - 1, abs(p[-1])
+    bound = 2 << max((-(-abs(p[n - i]) // an)).bit_length() // i + 1
+                     for i in range(1, n + 1))
+    dens = _divisors(an, an)
+    nums = _divisors(p[0], bound * an)
+    for den in dens:
+        for num in nums:
+            if num > bound * den:
+                break
+            if gcd(num, den) == 1:
+                yield num, den
+                yield -num, den
+
+
+def _is_root(p, num: int, den: int) -> bool:
+    """p(num/den) == 0 for an integer list p, decided in integers."""
+    # den*t - num divides p in Z[t] (Gauss), so (den - num) | p(1)
+    # and (den + num) | p(-1)
+    for d, x in ((den - num, 1), (den + num, -1)):
+        value = sum(c * x ** i for i, c in enumerate(p))
+        if (value % d if d else value) != 0:
+            return False
+    # homogeneous Horner: den^deg * p(num/den)
+    acc, dpow = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * dpow
+        dpow *= den
+    return acc == 0
 
 
 def uresultant(a, b) -> Fraction:

@@ -17,6 +17,7 @@ from .exactmath import (
     MultiPoly,
     NotDivisible,
     RatFunc,
+    factorize,
     is_square_rat,
     mat_rank,
     nullspace,
@@ -643,16 +644,7 @@ def hilbert_symbol(a, b, place) -> int:
 def _relevant_places(values):
     primes = {2}
     for q in values:
-        m = abs(q.numerator * q.denominator)
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.add(d)
-                while m % d == 0:
-                    m //= d
-            d += 1 if d == 2 else 2
-        if m > 1:
-            primes.add(m)
+        primes.update(factorize(q.numerator * q.denominator))
     return ["inf"] + sorted(primes)
 
 

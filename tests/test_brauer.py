@@ -21,8 +21,10 @@ from conicbundles.brauer import (
 )
 from conicbundles.bundles import (
     BundleError,
+    discriminant,
     make_bundle,
     parse_bundle_text,
+    random_bundle,
     validate_bundle,
 )
 from conicbundles.exactmath import (
@@ -31,6 +33,7 @@ from conicbundles.exactmath import (
     RatFunc,
     parse_poly,
 )
+from conicbundles.exactmath.univariate import as_univariate, umod
 from conicbundles.quadforms import BrauerPair, brauer_model
 
 T = ("t",)
@@ -200,6 +203,47 @@ def test_min844_certificate():
     assert cert.serialize() == "place=t residue=1/2 prime=3 root=-"
     assert cert.warnings == ()
     assert verify_certificate(cert)
+
+
+def test_remark433222_certificate():
+    cb = fixture("remark433222.cb")
+    cert = no_section_certificate(cb)
+    assert cert is not None
+    assert cert.serialize() == (
+        "place=t^8+1/3*t^7-1/3*t^6+1/3*t^5-3*t^4+5/3*t^3+11/3*t^2-t+1/3 "
+        "residue=t^6-2*t^5-t^4-4*t^3-5*t^2+2*t+1 prime=17 root=2")
+    assert cert.warnings == ()
+    assert verify_certificate(cert)
+
+
+def test_certificate_search_stays_on_discriminant(monkeypatch):
+    # off the discriminant the conic has good reduction, so the residue
+    # is trivial and no witness can exist: the search must not scan there
+    import conicbundles.brauer as brauer_mod
+    scanned = []
+    real = brauer_mod.nonsquare_witness
+
+    def recording(rc, *args, **kwargs):
+        scanned.append(rc.place)
+        return real(rc, *args, **kwargs)
+
+    monkeypatch.setattr(brauer_mod, "nonsquare_witness", recording)
+    bundles = [fixture("min844.cb"), fixture("remark433222.cb")]
+    bundles += [random_bundle(wt, seed=s)
+                for wt in ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
+                for s in (1, 2, 3)]
+    for cb in bundles:
+        if cb.has_flag("rational-by-section"):
+            continue
+        scanned.clear()
+        cert = no_section_certificate(cb)
+        _, delta = as_univariate(discriminant(cb).delta_affine, "t")
+        for place in scanned:
+            if place.is_infinite:
+                continue
+            assert not umod(delta, list(place.f)), (cb, place)
+        if cert is not None:
+            assert scanned[-1] == cert.place
 
 
 def test_split_quadratic_place_no_false_certificate():
