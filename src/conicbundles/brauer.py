@@ -32,12 +32,15 @@ from .exactmath.univariate import (
     is_square_rat as _sq,
     squarefree_part_int,
     udiscriminant,
+    udivmod,
     uexact_div,
     ugcd_monic,
     umod,
+    umonic,
     umul,
     uprimitive,
     urational_roots,
+    usub,
     utrim,
     yun_squarefree,
 )
@@ -162,19 +165,11 @@ def _compact_value(v) -> str:
 
 # -- places -------------------------------------------------------------
 
-def _monic(c):
-    c = utrim([Fraction(x) for x in c])
-    if not c:
-        return c
-    inv = 1 / c[-1]
-    return [x * inv for x in c]
-
-
 def _strip_all(p, f):
     """(multiplicity of f in p, cofactor)."""
     count = 0
     while len(p) >= len(f):
-        q, r = _udivmod_pair(p, f)
+        q, r = udivmod(p, f)
         if r:
             break
         p = q
@@ -182,16 +177,11 @@ def _strip_all(p, f):
     return count, p
 
 
-def _udivmod_pair(a, b):
-    from .exactmath.univariate import udivmod
-    return udivmod(a, b)
-
-
 def _coprime_basis(polys):
     """Pairwise-coprime monic basis generating the same set of roots;
     inputs are square-free."""
     basis: list = []
-    queue = [_monic(p) for p in polys if len(p) > 1]
+    queue = [umonic(p) for p in polys if len(p) > 1]
     while queue:
         f = queue.pop()
         if len(f) <= 1:
@@ -204,7 +194,7 @@ def _coprime_basis(polys):
             basis.pop(i)
             _, b1 = _strip_all(b, g)
             _, f1 = _strip_all(f, g)
-            queue.extend(x for x in (g, _monic(b1), _monic(f1)) if len(x) > 1)
+            queue.extend(x for x in (g, umonic(b1), umonic(f1)) if len(x) > 1)
             placed = True
             break
         if not placed:
@@ -235,7 +225,7 @@ def places_of_pair(pair: BrauerPair,
         for r in roots:
             cof = uexact_div(cof, [-r, Fraction(1)])
             places.append(Place(f=(-r, Fraction(1)), irreducibility="linear"))
-        cof = _monic(cof)
+        cof = umonic(cof)
         if len(cof) - 1 >= 2:
             fpoly = MultiPoly.from_univariate(("t",), "t", cof)
             from .exactmath import modp_irreducible_witness
@@ -271,21 +261,14 @@ def _uinv_mod(a, f):
     r0, r1 = list(f), umod(a, f)
     s0, s1 = [], [Fraction(1)]
     while r1:
-        q, r2 = _udivmod_pair(r0, r1)
+        q, r2 = udivmod(r0, r1)
         r0, r1 = r1, r2
-        s2 = _usub(s0, umul(q, s1))
+        s2 = usub(s0, umul(q, s1))
         s0, s1 = s1, s2
     if len(r0) != 1:
         raise ZeroDivisionError("element not invertible modulo the place")
     inv = 1 / r0[0]
     return umod([c * inv for c in s0], f)
-
-
-def _usub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0))
-           - (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-    return utrim(out)
 
 
 def _upow_mod(a, e, f):

@@ -387,12 +387,6 @@ class MultiPoly:
             p = -p
         return p
 
-    def monic_grlex(self) -> "MultiPoly":
-        if not self.terms:
-            return self
-        _, lc = self.leading_term_grlex()
-        return self * (1 / lc)
-
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises NotDivisible otherwise."""
         self._check_same_vars(divisor)
@@ -459,9 +453,8 @@ class MultiPoly:
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """GCD via recursive content / primitive-part pseudo-remainders.
 
-    Result is primitive with positive grlex leading coefficient (or a
-    monic univariate when only one variable is involved).  Constants
-    have gcd 1.
+    Result is primitive with positive grlex leading coefficient, also
+    when only one variable is involved.  Constants have gcd 1.
     """
     a._check_same_vars(b)
     if a.is_zero():
@@ -501,7 +494,11 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly, used) -> MultiPoly:
     a = a.drop_unused(keep=vs).align(vs)
     b = b.drop_unused(keep=vs).align(vs)
     if len(vs) == 1:
-        return _gcd_uni(a, b, vs[0])
+        # univariate imports modular, which imports this module
+        from .univariate import as_univariate, ugcd_monic
+        var = vs[0]
+        g = ugcd_monic(as_univariate(a, var)[1], as_univariate(b, var)[1])
+        return MultiPoly.from_univariate(vs, var, g)
     main = vs[-1]
     rest = vs[:-1]
     ca = _as_coeff_polys(a, main, rest)
@@ -513,41 +510,6 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly, used) -> MultiPoly:
     pb = _primitive_part(b, cb, cont_b, main, rest)
     g = _primitive_prs(pa, pb, main, rest)
     return (g.align(vs) * cont.align(vs)).primitive_normalized()
-
-
-def _gcd_uni(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    fa = _uni_coeffs(a, var)
-    fb = _uni_coeffs(b, var)
-    while fb:
-        fa, fb = fb, _uni_mod(fa, fb)
-    inv = 1 / fa[-1]
-    return MultiPoly.from_univariate((var,), var, [c * inv for c in fa])
-
-
-def _uni_coeffs(p: MultiPoly, var: str):
-    i = p.vars.index(var)
-    d = p.degree_in(var)
-    out = [Fraction(0)] * (d + 1)
-    for e, c in p.terms.items():
-        out[e[i]] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _uni_mod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        q = a[-1] * inv
-        for j in range(db + 1):
-            a[k + j] -= q * b[j]
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
 
 
 def _content_rec(coeffs, rest) -> MultiPoly:

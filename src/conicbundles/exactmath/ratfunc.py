@@ -69,11 +69,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.is_constant()
 
-    def as_polynomial(self) -> MultiPoly:
-        if not self.den.is_constant():
-            raise ValueError("%s is not polynomial" % self)
-        return self.num * (1 / self.den.constant_value())
-
     # -- arithmetic -------------------------------------------------------
 
     def __bool__(self):

@@ -1,7 +1,8 @@
-"""Univariate helpers over Q: square-free decomposition, rational
-roots, resultants.  Internally polynomials are coefficient lists (low
-to high, no trailing zeros); wrappers accept MultiPoly values that use
-a single variable.
+"""The package's only dense univariate arithmetic over Q: division,
+gcd, square-free decomposition, rational roots, resultants.
+Polynomials are coefficient lists of Fractions (low to high, no
+trailing zeros); wrappers accept MultiPoly values that use a single
+variable.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def uadd(a, b):
     return utrim([Fraction(c) for c in out])
 
 
-def uscale(a, c):
-    c = Fraction(c)
-    if not c:
-        return []
-    return [x * c for x in a]
+def usub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else Fraction(0))
+           - (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
+    return utrim(out)
 
 
 def umul(a, b):
@@ -97,15 +98,16 @@ def udivmod(a, b):
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     r = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
     db = len(b) - 1
-    inv = 1 / Fraction(b[-1])
+    inv = 1 / b[-1]
     q = [Fraction(0)] * max(0, len(r) - db)
     while len(r) - 1 >= db and r:
         k = len(r) - 1 - db
         c = r[-1] * inv
         q[k] = c
         for j in range(db + 1):
-            r[k + j] -= c * Fraction(b[j])
+            r[k + j] -= c * b[j]
         utrim(r)
         if len(r) - 1 >= k + db:
             raise ArithmeticError("division failed to reduce degree")
@@ -113,17 +115,36 @@ def udivmod(a, b):
 
 
 def umod(a, b):
-    return udivmod(a, b)[1]
+    """Remainder of a by b; no quotient is built and the coefficients
+    are taken as they are (Fractions), which keeps gcds fast."""
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    r = list(a)
+    db = len(b) - 1
+    inv = 1 / Fraction(b[-1])
+    while len(r) - 1 >= db and r:
+        k = len(r) - 1 - db
+        c = r[-1] * inv
+        for j in range(db + 1):
+            r[k + j] -= c * b[j]
+        # the leading coefficient cancels exactly
+        r.pop()
+        utrim(r)
+    return r
+
+
+def umonic(a):
+    a = utrim([Fraction(c) for c in a])
+    if not a:
+        return a
+    inv = 1 / a[-1]
+    return [c * inv for c in a]
 
 
 def ugcd_monic(a, b):
-    a, b = list(a), list(b)
     while b:
         a, b = b, umod(a, b)
-    if not a:
-        return []
-    inv = 1 / Fraction(a[-1])
-    return [c * inv for c in a]
+    return umonic(a)
 
 
 def uderiv(a):
@@ -157,11 +178,9 @@ def uprimitive(a):
 def yun_squarefree(a):
     """Yun's algorithm: list of (monic square-free factor, multiplicity)
     with multiplicities increasing; constants give []."""
-    a = utrim([Fraction(c) for c in a])
-    if len(a) <= 1:
+    f = umonic(a)
+    if len(f) <= 1:
         return []
-    inv = 1 / a[-1]
-    f = [c * inv for c in a]
     d = uderiv(f)
     g = ugcd_monic(f, d)
     out = []
@@ -171,7 +190,7 @@ def yun_squarefree(a):
     w = uexact_div(d, g)
     i = 1
     while len(c) > 1:
-        y = uadd(w, uscale(uderiv(c), -1))
+        y = usub(w, uderiv(c))
         z = ugcd_monic(c, y)
         if len(z) > 1:
             out.append((z, i))

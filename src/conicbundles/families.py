@@ -684,12 +684,7 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
 
     base = dict(values)
     if "xi" in spec.free:
-        sq = _udelta_square(values)
-        xi = sqrt_rat(sq)
-        if xi is None:
-            raise FamiliesError("no rational square root certifies "
-                                "membership in %s" % spec.name)
-        base["xi"] = xi
+        base["xi"] = sqrt_rat(_udelta_square(values))
     for fname in spec.free:
         draw = {nm: Jet(base[nm], 1 if nm == fname else 0)
                 for nm in spec.free}

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .bundles import BundleError, ConicBundle, dehomogenize
+from .bundles import ConicBundle
 from .exactmath import (
     MultiPoly,
-    NotDivisible,
-    RatFunc,
     factorize,
     is_square_rat,
     mat_rank,
@@ -59,13 +57,6 @@ class PlaneCurve:
         poly = poly.primitive_normalized()
         return cls(poly=poly, degree=poly.total_degree())
 
-    def value_at(self, point):
-        pt = [Fraction(x) for x in point]
-        return self.poly.evaluate(dict(zip(self.poly.vars, pt)))
-
-    def contains(self, point) -> bool:
-        return not self.value_at(point)
-
 
 def multiplicity_at(poly: MultiPoly, point, variables=None):
     """Multiplicity of a projective hypersurface at a point, with the
@@ -96,29 +87,6 @@ class SurfaceModel:
     degree: int
     multiple_lines: tuple  # ((var_a, var_b), multiplicity) pairs
     chart_map: str
-
-
-def _binary_hom(affine: MultiPoly, degree: int, va: str, vb: str,
-                variables) -> MultiPoly:
-    """t^k -> va^k vb^(degree-k), other variables untouched."""
-    if affine.is_zero():
-        return MultiPoly.zero(variables)
-    it = affine.vars.index("t") if "t" in affine.vars else None
-    ia, ib = variables.index(va), variables.index(vb)
-    terms = {}
-    for e, c in affine.terms.items():
-        k = e[it] if it is not None else 0
-        if k > degree:
-            raise PlaneError("affine degree exceeds the stated bound")
-        key = [0] * len(variables)
-        key[ia] = k
-        key[ib] = degree - k
-        for idx, nm in enumerate(affine.vars):
-            if nm != "t":
-                key[variables.index(nm)] += e[idx]
-        key = tuple(key)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return MultiPoly(variables, terms)
 
 
 _SCROLL_SLOTS = {
@@ -155,13 +123,12 @@ def scroll_image(cb: ConicBundle) -> SurfaceModel:
     dij = dict(zip(pairs, md.tuple))
     acc = MultiPoly.zero(variables)
     pad = MultiPoly.variable(variables, vb)
+    hom = {"x0": MultiPoly.variable(variables, va), "x1": pad}
     for (i, j) in pairs:
         s = cb.s(i, j)
         if s.is_zero():
             continue
-        aff = dehomogenize(s, cb.params)
-        hom = _binary_hom(aff, dij[(i, j)], va, vb, variables)
-        term = hom
+        term = s.substitute(hom)
         for k in (i, j):
             if slots[k] is not None:
                 term = term * MultiPoly.variable(variables, slots[k])
@@ -221,9 +188,6 @@ class CremonaMap:
             for j in range(i + 1, 3):
                 if not (comp[i] * wv[j] - comp[j] * wv[i]).is_zero():
                     raise PlaneError("inverse slots do not invert the map")
-
-    def jacobian_det(self) -> MultiPoly:
-        return _jac_det3(self.slots)
 
     def inverse(self) -> "CremonaMap":
         return CremonaMap(slots=self.inverse_slots,
@@ -381,16 +345,6 @@ def cremona_apply(cmap: CremonaMap, curve: PlaneCurve) -> PlaneCurve:
 
 # -- the degree 8 -> 6 -> 4 -> 2 chain ------------------------------------
 
-U12_COEFF_NAMES = (
-    tuple("a%d" % k for k in range(9)),
-    tuple("b%d" % k for k in range(5)),
-    tuple("c%d" % k for k in range(5)),
-    ("d0",),
-    ("g0",),
-    ("h0",),
-)
-
-
 def u12_coefficients(cb: ConicBundle) -> dict:
     """Named coefficients of a numeric (4,0,0) bundle: index 0 is the
     leading (t-degree) coefficient of each form."""
@@ -398,14 +352,8 @@ def u12_coefficients(cb: ConicBundle) -> dict:
         raise PlaneError("chain needs weights (4,0,0), got %s" % cb.weights)
     if cb.params:
         raise PlaneError("chain needs a numeric bundle; instantiate first")
-    out = {}
-    degs = (8, 4, 4, 0, 0, 0)
-    for names, s, d in zip(U12_COEFF_NAMES, cb.sigma, degs):
-        aff = dehomogenize(s)
-        for k, name in enumerate(names):
-            c = aff.coefficient_of_power("t", d - k)
-            out[name] = c.constant_value() if not c.is_zero() else Fraction(0)
-    return out
+    from .families import bundle_coefficients  # families imports plane
+    return bundle_coefficients(cb)
 
 
 U12_RELATIONS = (
@@ -780,23 +728,6 @@ class TangentSectionData:
     note: str = ""
 
 
-def _affine_names_433222(cb: ConicBundle) -> dict:
-    degs = (4, 3, 3, 2, 2, 2)
-    names = (tuple("a%d" % k for k in range(5)),
-             tuple("b%d" % k for k in range(4)),
-             tuple("c%d" % k for k in range(4)),
-             tuple("d%d" % k for k in range(3)),
-             tuple("g%d" % k for k in range(3)),
-             tuple("h%d" % k for k in range(3)))
-    out = {}
-    for nm, s, d in zip(names, cb.sigma, degs):
-        aff = dehomogenize(s)
-        for k, name in enumerate(nm):
-            c = aff.coefficient_of_power("t", d - k)
-            out[name] = c.constant_value() if not c.is_zero() else Fraction(0)
-    return out
-
-
 def tangent_2section_433222(cb: ConicBundle) -> TangentSectionData:
     """Common tangent plane section of the quartic scroll image of a
     (2,1,1) bundle through the two marked points, reduced to a conic
@@ -805,7 +736,8 @@ def tangent_2section_433222(cb: ConicBundle) -> TangentSectionData:
         raise PlaneError("tangent section needs weights (2,1,1)")
     if cb.params:
         raise PlaneError("tangent section needs a numeric bundle")
-    v = _affine_names_433222(cb)
+    from .families import bundle_coefficients  # families imports plane
+    v = bundle_coefficients(cb)
     for name in ("a0", "a1", "a3", "a4"):
         if v[name]:
             raise PlaneError(
