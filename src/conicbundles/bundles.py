@@ -251,27 +251,6 @@ def dehomogenize(p: MultiPoly, params=()) -> MultiPoly:
     return MultiPoly(target, terms)
 
 
-def homogenize_pair(p: MultiPoly, degree: int, params=()) -> MultiPoly:
-    """Inverse of dehomogenize: t^k goes to x0^k x1^(degree-k)."""
-    target = ("x0", "x1") + tuple(params)
-    if p.is_zero():
-        return MultiPoly.zero(target)
-    it = p.vars.index("t") if "t" in p.vars else None
-    terms = {}
-    for e, c in p.terms.items():
-        k = e[it] if it is not None else 0
-        if k > degree:
-            raise BundleError("degree %d form cannot hold t^%d" % (degree, k))
-        key = [0] * len(target)
-        key[0] = k
-        key[1] = degree - k
-        for idx, nm in enumerate(p.vars):
-            if nm != "t":
-                key[target.index(nm)] = e[idx]
-        terms[tuple(key)] = terms.get(tuple(key), Fraction(0)) + c
-    return MultiPoly(target, terms)
-
-
 def fiber_at(cb: ConicBundle, point):
     """The six fiber-form coefficients at a base point (p, q) != (0, 0),
     in canonical pair order."""

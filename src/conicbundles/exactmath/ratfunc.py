@@ -28,6 +28,9 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = MultiPoly.const(num.vars, 1)
+        elif den.is_constant():  # the gcd is 1: only scale den to 1
+            num = num * (1 / den.constant_value())
+            den = MultiPoly.const(num.vars, 1)
         else:
             g = poly_gcd(num, den)
             if not g.is_constant():

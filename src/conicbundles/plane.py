@@ -22,7 +22,7 @@ from .exactmath import (
     poly_gcd,
     sqrt_rat,
 )
-from .quadforms import DegeneratePivot, QuadraticForm3, diagonalize
+from .quadforms import DegeneratePivot, QuadraticForm3, diagonalize_pivoted
 
 W3 = ("w0", "w1", "w2")
 Z4 = ("z0", "z1", "z2", "z3")
@@ -685,12 +685,10 @@ def conic_has_point(c: ConicQ, height: int = 10**4) -> ConicPointResult:
 def _diagonalize_full(form: QuadraticForm3):
     """Diagonal entries of a rank-3 rational form, with shearing when
     every variable ordering has a zero pivot."""
-    from itertools import permutations as _perms
-    for perm in _perms((0, 1, 2)):
-        try:
-            return diagonalize(form.permuted(perm)).entries
-        except DegeneratePivot:
-            continue
+    try:
+        return diagonalize_pivoted(form)[1].entries
+    except DegeneratePivot:
+        pass
     # all diagonal Gram entries vanish: merge two variables
     a = form.alpha
     for (i, j, k) in ((0, 1, 1), (0, 2, 2), (1, 2, 4)):

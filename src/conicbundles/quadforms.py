@@ -1,7 +1,9 @@
-"""Ternary quadratic forms over Q and over Q(t): exact
+"""Ternary quadratic forms over Q and over Q[t]: exact
 diagonalization with a verified congruence certificate, the diagonal
 conic model of a bundle's generic fiber, and the degree-8 normal form
-that feeds the two-section construction for weights (4,0,0).
+that feeds the two-section construction for weights (4,0,0).  The
+generic fiber form and its diagonalization live in Q[t]; only the
+model's a = -d0/d2 and b = -d1/d2 live in Q(t).
 
 Coefficient ordering throughout:
 alpha0*y0^2 + alpha1*y0*y1 + alpha2*y0*y2 + alpha3*y1^2
@@ -116,24 +118,50 @@ def diagonalize(q: QuadraticForm3) -> DiagonalForm:
     e2 = (-a1, a0 * 2, a0 - a0)
     e3 = (a1 * a4 - a2 * a3 * 2, a1 * a2 - a0 * a4 * 2, n)
     basis = (e1, e2, e3)
+    entries = (d0, d1, d2)
+    # B^T G B is symmetric because G is: form G*B once, then check the
+    # entries on and above the diagonal
+    g = q.gram()
+    gb = [[g[r][0] * col[0] + g[r][1] * col[1] + g[r][2] * col[2]
+           for r in range(3)] for col in basis]
     for i in range(3):
-        for j in range(3):
-            want = (d0, d1, d2)[i] if i == j else None
-            got = q.bilinear(basis[i], basis[j])
+        for j in range(i, 3):
+            got = (basis[i][0] * gb[j][0] + basis[i][1] * gb[j][1]
+                   + basis[i][2] * gb[j][2])
             if i == j:
-                if got != want:
+                if got != entries[i]:
                     raise AssertionError(
                         "congruence check failed on diagonal entry %d" % i)
             elif bool(got):
                 raise AssertionError(
                     "congruence check failed: basis not orthogonal (%d,%d)"
                     % (i, j))
-    return DiagonalForm(entries=(d0, d1, d2), basis=basis)
+    return DiagonalForm(entries=entries, basis=basis)
 
 
 # -- the diagonal conic model of the generic fiber ---------------------
 
 PIVOT_ORDER = tuple(permutations((0, 1, 2)))
+
+
+def diagonalize_pivoted(q: QuadraticForm3):
+    """(perm, DiagonalForm) for the first variable ordering in
+    PIVOT_ORDER whose pivots are invertible and whose third diagonal
+    entry is nonzero; raises DegeneratePivot when there is none."""
+    last_err = None
+    for perm in PIVOT_ORDER:
+        try:
+            diag = diagonalize(q.permuted(perm))
+        except DegeneratePivot as exc:
+            last_err = exc
+            continue
+        if not bool(diag.entries[2]):
+            last_err = DegeneratePivot(
+                "degenerate pivot: third diagonal entry vanishes")
+            continue
+        return perm, diag
+    raise DegeneratePivot(
+        "every variable ordering hits a degenerate pivot (%s)" % last_err)
 
 
 @dataclass(frozen=True)
@@ -143,57 +171,46 @@ class BrauerPair:
     pivot: tuple = (0, 1, 2)
     diagonal: tuple | None = None
     basis: tuple | None = None
-    scale: RatFunc | None = None
 
 
 def generic_fiber_form(cb: ConicBundle) -> QuadraticForm3:
-    """Fiber form over the function field of the base: coefficients
-    are the dehomogenized sigma forms as rational functions of t."""
-    alphas = tuple(RatFunc(dehomogenize(s, cb.params)) for s in cb.sigma)
-    return QuadraticForm3(alphas)
+    """Fiber form over the base: coefficients are the dehomogenized
+    sigma forms, polynomials in t (MultiPolys).  The form and its
+    diagonalization live in Q[t]; only the ratios a, b of brauer_model
+    need Q(t)."""
+    return QuadraticForm3(tuple(dehomogenize(s, cb.params)
+                                for s in cb.sigma))
 
 
 def brauer_model(cb: ConicBundle) -> BrauerPair:
     """Diagonal conic a*x^2 + b*y^2 - z^2 = 0 isomorphic over Q(t) to
     the generic fiber: a = -d0/d2, b = -d1/d2 from the diagonalized
     fiber form.  If the standard pivot degenerates, the variables are
-    permuted (recorded in the result)."""
+    permuted (recorded in the result).  The diagonal and the basis
+    come back as polynomial RatFuncs."""
     if cb.has_flag("degenerate-discriminant"):
         raise BundleError("generic fiber is degenerate (discriminant is zero)")
     q = generic_fiber_form(cb)
-    if not any(bool(q.alpha[k]) for k in (1, 2, 4)):
+    al = q.alpha
+    if not any(al[k] for k in (1, 2, 4)) and all(al[k] for k in (0, 3, 5)):
         # already diagonal: use the entries as they stand
-        d0, d1, d2 = q.alpha[0], q.alpha[3], q.alpha[5]
-        if all(bool(d) for d in (d0, d1, d2)):
-            one = RatFunc.from_const(d2.num.vars, 1)
-            zero = one - one
-            return BrauerPair(
-                a=-(d0 / d2), b=-(d1 / d2), pivot=(0, 1, 2),
-                diagonal=(d0, d1, d2),
-                basis=((one, zero, zero), (zero, one, zero),
-                       (zero, zero, one)),
-                scale=-(one / d2))
-    last_err = None
-    for perm in PIVOT_ORDER:
+        one = MultiPoly.const(al[0].vars, 1)
+        zero = one - one
+        pivot = (0, 1, 2)
+        diag = DiagonalForm(entries=(al[0], al[3], al[5]),
+                            basis=((one, zero, zero), (zero, one, zero),
+                                   (zero, zero, one)))
+    else:
         try:
-            diag = diagonalize(q.permuted(perm))
+            pivot, diag = diagonalize_pivoted(q)
         except DegeneratePivot as exc:
-            last_err = exc
-            continue
-        d0, d1, d2 = diag.entries
-        if not bool(d2):
-            last_err = DegeneratePivot(
-                "degenerate pivot: third diagonal entry vanishes")
-            continue
-        a = -(d0 / d2)
-        b = -(d1 / d2)
-        scale = -(RatFunc.from_const(d2.num.vars, 1) / d2) \
-            if isinstance(d2, RatFunc) else None
-        return BrauerPair(a=a, b=b, pivot=perm, diagonal=diag.entries,
-                          basis=diag.basis, scale=scale)
-    raise DegeneratePivot(
-        "cannot diagonalize generically: every variable ordering hits a "
-        "degenerate pivot (%s)" % last_err)
+            raise DegeneratePivot(
+                "cannot diagonalize generically: %s" % exc) from None
+    d0, d1, d2 = diag.entries
+    return BrauerPair(
+        a=-RatFunc(d0, d2), b=-RatFunc(d1, d2), pivot=pivot,
+        diagonal=tuple(RatFunc(d) for d in diag.entries),
+        basis=tuple(tuple(RatFunc(c) for c in col) for col in diag.basis))
 
 
 # -- degree-8 normal form for weights (4, 0, 0) -------------------------

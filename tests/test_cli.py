@@ -1,4 +1,4 @@
-"""Command-line contracts of the residue commands."""
+"""Command-line contracts of the residue and diagonalization commands."""
 
 import json
 from importlib.resources import files
@@ -47,3 +47,35 @@ def test_residues_certificate_matches_search(capsys):
         assert main(["residues", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "certificate: %s" % cert.serialize()
+
+
+def test_diagonalize_contract(capsys):
+    for name in ("min844.cb", "remark433222.cb"):
+        path = fixture_path(name)
+        code, payload = run_json(capsys, ["diagonalize", path])
+        assert code == EXIT_OK
+        assert payload["exit_code"] == EXIT_OK
+        assert len(payload["entries"]) == 3
+        assert [len(col) for col in payload["basis"]] == [3, 3, 3]
+        # byte-identical reruns, JSON and text
+        for argv in (["diagonalize", path, "--output", "json"],
+                     ["diagonalize", path]):
+            outs = []
+            for _ in range(2):
+                assert main(argv) == EXIT_OK
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+        lines = outs[0].splitlines()
+        assert lines[:3] == ["d%d = %s" % (k, e)
+                             for k, e in enumerate(payload["entries"])]
+    # the y0^2 coefficient of min844 is the dehomogenized sigma00
+    code, payload = run_json(capsys, ["diagonalize",
+                                      fixture_path("min844.cb")])
+    assert payload["entries"][0] == (
+        "t^8 - 28*t^7 + 322*t^6 - 1960*t^5 + 6769*t^4 - 13132*t^3"
+        " + 13068*t^2 - 5040*t")
+    assert payload["basis"][0] == ["1", "0", "0"]
+    code, payload = run_json(capsys, ["diagonalize",
+                                      fixture_path("u12_template.cb")])
+    assert code == EXIT_INVALID
+    assert payload["exit_code"] == EXIT_INVALID

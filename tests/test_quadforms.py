@@ -3,13 +3,22 @@ checks, the diagonal conic model of a generic fiber, and the degree-8
 normal form for weights (4,0,0)."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
-from conicbundles.bundles import BundleError, make_bundle, validate_bundle
-from conicbundles.exactmath import mat_det
+from conicbundles.bundles import (
+    BundleError,
+    load_bundle,
+    make_bundle,
+    random_bundle,
+    validate_bundle,
+)
+from conicbundles.exactmath import MultiPoly, RatFunc, mat_det
 from conicbundles.quadforms import (
+    PIVOT_ORDER,
     DegeneratePivot,
     MestreError,
     MestreFailure,
@@ -17,6 +26,7 @@ from conicbundles.quadforms import (
     QuadraticForm3,
     brauer_model,
     diagonalize,
+    diagonalize_pivoted,
     generic_fiber_form,
     mestre_normal_form,
     u_delta_witness,
@@ -114,6 +124,7 @@ def diag_bundle_844(s00_text, s11, s22):
 def test_generic_fiber_form_dehomogenizes():
     cb = diag_bundle_844("x0^8", 2, -1)
     q = generic_fiber_form(cb)
+    assert all(isinstance(a, MultiPoly) for a in q.alpha)
     assert str(q.alpha[0]) == "t^8"
     assert q.alpha[3].evaluate({"t": Fraction(5)}) == 2
     assert q.alpha[5].evaluate({"t": Fraction(5)}) == -1
@@ -229,3 +240,140 @@ def test_u_delta_witness_zero_relation():
     assert not u_delta_witness(0, 1, 0, 0, 1, 5, 2)
     # a0=1, b0=0, c0=-1, c1=0, c2=1, d0=2: rhs = 4*1 + 0 - 0 + 4*(-1) = 0
     assert u_delta_witness(1, 0, -1, 0, 1, 2, 0)
+
+
+# -- the generic fiber over Q[t], checked against sympy -----------------
+
+WEIGHT_TYPES = ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
+
+
+def _sympy_of(x):
+    """A MultiPoly in t or a RatFunc over it as a sympy expression."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    if isinstance(x, RatFunc):
+        return _sympy_of(x.num) / _sympy_of(x.den)
+    return sum((sympy.Rational(c.numerator, c.denominator) * t ** e[0]
+                for e, c in x.terms.items()), sympy.Integer(0))
+
+
+def _matrix_over_qt(rows):
+    """A 3x3 sympy DomainMatrix over Q[t]."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    ring = sympy.QQ[sympy.Symbol("t")]
+    return DomainMatrix(
+        [[ring.from_sympy(_sympy_of(x) if isinstance(x, (MultiPoly, RatFunc))
+                          else sympy.Rational(x)) for x in row]
+         for row in rows], (3, 3), ring)
+
+
+def _model_bundles():
+    """Seeded random bundles of every weight type, each also with
+    sigma00 = 0, so that both the standard and a permuted pivot run."""
+    out = []
+    for wt in WEIGHT_TYPES:
+        for seed in range(3):
+            cb = random_bundle(wt, seed=50 + seed)
+            zero = MultiPoly.zero(cb.sigma[0].vars)
+            out.append(cb)
+            out.append(validate_bundle(
+                replace(cb, sigma=(zero,) + cb.sigma[1:])))
+    return out
+
+
+def test_brauer_model_congruence_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    pivots = set()
+    for cb in _model_bundles():
+        bp = brauer_model(cb)
+        pivots.add(bp.pivot)
+        g = _matrix_over_qt(
+            generic_fiber_form(cb).permuted(bp.pivot).gram())
+        b = _matrix_over_qt([[bp.basis[c][r] for c in range(3)]
+                             for r in range(3)])
+        want = _matrix_over_qt([[bp.diagonal[r] if r == c else 0
+                                 for c in range(3)] for r in range(3)])
+        assert b.transpose() * g * b == want
+        assert all(d.is_polynomial() for d in bp.diagonal)
+        assert all(c.is_polynomial() for col in bp.basis for c in col)
+    assert (0, 1, 2) in pivots and len(pivots) > 1
+
+
+def test_brauer_model_ratios_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for cb in _model_bundles():
+        bp = brauer_model(cb)
+        d0, d1, d2 = (_sympy_of(d) for d in bp.diagonal)
+        for r, d in ((bp.a, d0), (bp.b, d1)):
+            num, den = sympy.fraction(sympy.cancel(-d / d2))
+            got_num, got_den = _sympy_of(r.num), _sympy_of(r.den)
+            assert sympy.Poly(num * got_den - den * got_num, t).is_zero
+            # kept reduced: numerator and denominator are coprime
+            assert sympy.gcd(sympy.Poly(got_num, t),
+                             sympy.Poly(got_den, t)).is_ground
+
+
+def test_diagonalize_pivoted_takes_first_working_order():
+    cb = make_bundle((2, 2, 0),
+                     ("0", "x0^4", "x0^2", "x0^4 + x1^4", "x1^2", "1"))
+    q = generic_fiber_form(cb)
+    perm, diag = diagonalize_pivoted(q)
+    first = PIVOT_ORDER.index(perm)
+    assert first > 0
+    for earlier in PIVOT_ORDER[:first]:
+        with pytest.raises(DegeneratePivot):
+            diagonalize(q.permuted(earlier))
+    assert diag == diagonalize(q.permuted(perm))
+    # a rank-1 form fails every ordering
+    with pytest.raises(DegeneratePivot, match="every variable ordering"):
+        diagonalize_pivoted(QuadraticForm3((1, 2, 2, 1, 2, 1)))
+
+
+def test_congruence_check_raises_on_wrong_gram(monkeypatch):
+    q = QuadraticForm3((1, 1, 0, 2, 1, 3))
+    gram = QuadraticForm3.gram
+    assert diagonalize(q).entries[0] == 1
+
+    def bumped(entry):
+        def fake(self):
+            g = gram(self)
+            r, c = entry
+            g[r][c] += 1
+            if r != c:
+                g[c][r] += 1
+            return g
+        return fake
+
+    monkeypatch.setattr(QuadraticForm3, "gram", bumped((2, 2)))
+    with pytest.raises(AssertionError, match="diagonal entry 2"):
+        diagonalize(q)
+    monkeypatch.setattr(QuadraticForm3, "gram", bumped((0, 2)))
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        diagonalize(q)
+
+
+@pytest.mark.parametrize("name, a, b", [
+    ("min844.cb",
+     "t^8 - 28*t^7 + 322*t^6 - 1960*t^5 + 6769*t^4 - 13132*t^3"
+     " + 13068*t^2 - 5040*t",
+     "2"),
+    ("remark433222.cb",
+     "-t^2/(3*t^14 - 5*t^13 - 6*t^12 - 10*t^11 - 29*t^10 + 27*t^9"
+     " + 16*t^8 + 22*t^6 - 85*t^5 - 43*t^4 + 38*t^3 - t + 1)",
+     "t^2/(3*t^8 + t^7 - t^6 + t^5 - 9*t^4 + 5*t^3 + 11*t^2 - 3*t + 1)"),
+])
+def test_brauer_model_fixture_pins(name, a, b):
+    path = files("conicbundles") / "fixtures" / name
+    bp = brauer_model(validate_bundle(load_bundle(str(path))))
+    assert (str(bp.a), str(bp.b), bp.pivot) == (a, b, (0, 1, 2))
+
+
+def test_ratfunc_constant_denominator():
+    p = MultiPoly(("t",), {(3,): Fraction(4), (0,): Fraction(-6)})
+    for c in (Fraction(2), Fraction(-3, 5), Fraction(7)):
+        r = RatFunc(p, MultiPoly.const(("t",), c))
+        assert r.num == p * (1 / c)
+        assert r.den == MultiPoly.const(("t",), 1)
+        assert r == RatFunc(p) / RatFunc.from_const(("t",), c)
