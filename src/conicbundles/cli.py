@@ -58,7 +58,7 @@ from .quadforms import (
     MestreError,
     MestreFailure,
     brauer_model,
-    diagonalize,
+    diagonalize_pivoted,
     generic_fiber_form,
     mestre_normal_form,
 )
@@ -189,19 +189,23 @@ def cmd_diagonalize(args, cfg):
     _require_numeric(cb, "diagonalization")
     form = generic_fiber_form(cb)
     try:
-        diag = diagonalize(form)
+        pivot, diag = diagonalize_pivoted(form)
     except DegeneratePivot as exc:
         raise CommandFailure(EXIT_DEGENERATE, str(exc))
+    # from the pivoted coordinates y[pivot[k]] back to y0, y1, y2
+    basis = [[col[pivot.index(i)] for i in range(3)] for col in diag.basis]
     lines = []
     for k, entry in enumerate(diag.entries):
         lines.append("d%d = %s" % (k, entry))
-    for k, col in enumerate(diag.basis):
+    for k, col in enumerate(basis):
         lines.append("basis[%d] = (%s)" % (k, ", ".join(str(c) for c in col)))
+    lines.append("pivot: (%d, %d, %d)" % pivot)
     payload = {
         "command": "diagonalize",
         "file": str(args.file),
+        "pivot": list(pivot),
         "entries": [str(e) for e in diag.entries],
-        "basis": [[str(c) for c in col] for col in diag.basis],
+        "basis": [[str(c) for c in col] for col in basis],
     }
     return EXIT_OK, payload, lines
 

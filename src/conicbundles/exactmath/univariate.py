@@ -68,13 +68,6 @@ def utrim(a):
     return a
 
 
-def uadd(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-           for i in range(n)]
-    return utrim([Fraction(c) for c in out])
-
-
 def usub(a, b):
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else Fraction(0))
@@ -97,7 +90,7 @@ def umul(a, b):
 def udivmod(a, b):
     if not b:
         raise ZeroDivisionError("univariate division by zero")
-    r = [Fraction(c) for c in a]
+    r = utrim([Fraction(c) for c in a])
     b = [Fraction(c) for c in b]
     db = len(b) - 1
     inv = 1 / b[-1]

@@ -3,23 +3,25 @@ bundle total spaces, quadratic Cremona transformations with exact
 strict transforms, the degree 8 -> 6 -> 4 -> 2 reduction chain, the
 tangent-plane two-section construction for weights (2,1,1), and
 rational point search on conics over Q with local obstruction
-reporting.
+reporting.  A Cremona map lists the lines it contracts, the factors
+of its Jacobian determinant, so strict transforms need no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .bundles import ConicBundle
 from .exactmath import (
     MultiPoly,
+    NotDivisible,
     factorize,
     is_square_rat,
     mat_rank,
     nullspace,
-    poly_gcd,
     sqrt_rat,
 )
 from .quadforms import DegeneratePivot, QuadraticForm3, diagonalize_pivoted
@@ -161,13 +163,27 @@ def _jac_det3(slots) -> MultiPoly:
     return det
 
 
+def _peel(g: MultiPoly, lines) -> MultiPoly:
+    """g with every power of each of the linear forms divided out."""
+    for ln in lines:
+        try:
+            while g:
+                g = g.exact_div(ln)
+        except NotDivisible:
+            pass
+    return g
+
+
 @dataclass(frozen=True)
 class CremonaMap:
     """Birational quadratic self-map of the plane.  slots push points
     forward; inverse_slots pull equations back, which is how curve
-    images are computed."""
+    images are computed.  Their Jacobian determinants are nonzero
+    constants times powers of the lines (inverse_lines) they contract."""
     slots: tuple  # three quadrics in w0, w1, w2
     inverse_slots: tuple
+    lines: tuple = ()
+    inverse_lines: tuple = ()
     base_points: tuple = ()
     base_description: str = ""
 
@@ -188,10 +204,20 @@ class CremonaMap:
             for j in range(i + 1, 3):
                 if not (comp[i] * wv[j] - comp[j] * wv[i]).is_zero():
                     raise PlaneError("inverse slots do not invert the map")
+        for triple, lines in ((self.slots, self.lines),
+                              (self.inverse_slots, self.inverse_lines)):
+            jac = _jac_det3(triple)
+            # total degree 0: a nonzero constant is all that is left
+            if not all(ln.total_degree() == 1 and ln.divides(jac)
+                       for ln in lines) or _peel(jac, lines).total_degree():
+                raise PlaneError("the Jacobian %s is not a constant times "
+                                 "powers of %s" % (jac, list(map(str, lines))))
 
     def inverse(self) -> "CremonaMap":
         return CremonaMap(slots=self.inverse_slots,
                           inverse_slots=self.slots,
+                          lines=self.inverse_lines,
+                          inverse_lines=self.lines,
                           base_description="inverse of: "
                                            + self.base_description)
 
@@ -247,8 +273,9 @@ def _std_slots():
 
 def standard_cremona() -> CremonaMap:
     slots = _std_slots()
+    lines = tuple(MultiPoly.variable(W3, v) for v in W3)
     return CremonaMap(
-        slots=slots, inverse_slots=slots,
+        slots=slots, inverse_slots=slots, lines=lines, inverse_lines=lines,
         base_points=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
         base_description="coordinate triangle")
 
@@ -294,11 +321,13 @@ def cremona_from_points(p0, p1, p2, recombine=None) -> CremonaMap:
                  for ln in (l12, l02, l01))
     minv = _mat_inverse3(lmat)
     std = _std_slots()
+    std_lines = tuple(MultiPoly.variable(W3, v) for v in W3)
     inverse = tuple(
         sum((std[j] * minv[i][j] for j in range(3)), MultiPoly.zero(W3))
         for i in range(3))
     desc = "conics through %s, %s, %s" % (tuple(p0), tuple(p1), tuple(p2))
     cmap = CremonaMap(slots=slots, inverse_slots=inverse,
+                      lines=(l01, l02, l12), inverse_lines=std_lines,
                       base_points=(tuple(p0), tuple(p1), tuple(p2)),
                       base_description=desc)
     if recombine is not None:
@@ -308,7 +337,8 @@ def cremona_from_points(p0, p1, p2, recombine=None) -> CremonaMap:
 
 def recombine_target(cmap: CremonaMap, t) -> CremonaMap:
     """Compose with the linear target change w -> T w: slots become
-    T * slots and the inverse picks up T^-1 on the way in."""
+    T * slots and the inverse, with the lines it contracts, picks up
+    T^-1 on the way in."""
     t = tuple(tuple(Fraction(x) for x in row) for row in t)
     slots = tuple(
         sum((cmap.slots[j] * t[i][j] for j in range(3)),
@@ -318,6 +348,9 @@ def recombine_target(cmap: CremonaMap, t) -> CremonaMap:
     pre = {v: _linear_slot(row) for v, row in zip(W3, tinv)}
     inverse = tuple(q.substitute(pre) for q in cmap.inverse_slots)
     return CremonaMap(slots=slots, inverse_slots=inverse,
+                      lines=cmap.lines,
+                      inverse_lines=tuple(ln.substitute(pre)
+                                          for ln in cmap.inverse_lines),
                       base_points=cmap.base_points,
                       base_description=cmap.base_description
                                        + " (recombined)")
@@ -325,19 +358,14 @@ def recombine_target(cmap: CremonaMap, t) -> CremonaMap:
 
 def cremona_apply(cmap: CremonaMap, curve: PlaneCurve) -> PlaneCurve:
     """Image of a curve: pull the equation back along the inverse
-    slots, then peel common factors with the Jacobian determinant of
-    the inverse (which cuts the curves it contracts) until coprime,
-    and normalize the content."""
+    slots, divide out every power of the lines the inverse contracts
+    (the irreducible factors of its Jacobian determinant), which
+    leaves the strict transform, and normalize the content."""
     mapping = dict(zip(W3, cmap.inverse_slots))
     g = curve.poly.substitute(mapping)
     if g.is_zero():
         raise ContractedCurveError("contracted: curve maps into the base locus")
-    jac = _jac_det3(cmap.inverse_slots)
-    while True:
-        common = poly_gcd(g, jac)
-        if common.is_constant():
-            break
-        g = g.exact_div(common)
+    g = _peel(g, cmap.inverse_lines)
     if g.is_constant():
         raise ContractedCurveError("contracted: image is a point")
     return PlaneCurve.make(g)
@@ -423,23 +451,28 @@ _CHAIN_T1 = ((1, 0, 0), (0, 1, 0), (0, -1, 1))
 _CHAIN_T2 = ((1, 1, 2), (0, 1, 0), (0, 0, 1))
 
 
+# constants, built on first use rather than at import
+@cache
 def chain_phi3() -> CremonaMap:
     w0, w1, w2 = (MultiPoly.variable(W3, v) for v in W3)
     return CremonaMap(
         slots=(w0 * w0 - (w0 - w1) * w2 * 2, w1 * w1, w0 * w1),
         inverse_slots=((w2 - w1) * w2 * 2, (w2 - w1) * w1 * 2,
                        w2 * w2 - w0 * w1),
+        lines=(w1, w0 - w1), inverse_lines=(w1, w1 - w2),
         base_points=((0, 0, 1), (2, 0, 1)),
         base_description="explicit final map (one infinitely-near base "
                          "condition)")
 
 
+@cache
 def chain_phi1() -> CremonaMap:
     return cremona_from_points(CHAIN_Q, CHAIN_DOUBLE_POINTS[0],
                                CHAIN_DOUBLE_POINTS[1],
                                recombine=_CHAIN_T1)
 
 
+@cache
 def chain_phi2() -> CremonaMap:
     return cremona_from_points(*CHAIN_B2, recombine=_CHAIN_T2)
 

@@ -1,7 +1,10 @@
-"""Command-line contracts of the residue and diagonalization commands."""
+"""Command-line contracts of the residue, diagonalization and
+Cremona-chain commands."""
 
 import json
 from importlib.resources import files
+
+import pytest
 
 from conicbundles.brauer import no_section_certificate
 from conicbundles.bundles import parse_bundle_text, validate_bundle
@@ -79,3 +82,62 @@ def test_diagonalize_contract(capsys):
                                       fixture_path("u12_template.cb")])
     assert code == EXIT_INVALID
     assert payload["exit_code"] == EXIT_INVALID
+
+
+def test_diagonalize_pivots_back_to_the_original_coordinates(capsys,
+                                                             tmp_path):
+    sympy = pytest.importorskip("sympy")
+    # the upper-left 2x2 block is singular, so the pivot is not (0, 1, 2)
+    sigma = ("x0^4", "2*x0^4", "x1^2", "x0^4", "x0^2", "1")
+    path = tmp_path / "b220.cb"
+    path.write_text("weights = 2 2 0\n" + "".join(
+        "sigma%s = %s\n" % (ij, s)
+        for ij, s in zip(("00", "01", "02", "11", "12", "22"), sigma)))
+    code, payload = run_json(capsys, ["diagonalize", str(path)])
+    assert code == EXIT_OK
+    assert payload["pivot"] == [0, 2, 1]
+    t, x0, x1 = sympy.symbols("t x0 x1")
+    s00, s01, s02, s11, s12, s22 = (
+        sympy.sympify(s.replace("^", "**")).subs({x0: t, x1: 1})
+        for s in sigma)
+    gram = sympy.Matrix([[s00, s01 / 2, s02 / 2],
+                         [s01 / 2, s11, s12 / 2],
+                         [s02 / 2, s12 / 2, s22]])
+    basis = sympy.Matrix([[sympy.sympify(c.replace("^", "**"),
+                                         locals={"t": t}) for c in col]
+                          for col in payload["basis"]]).T
+    diag = sympy.diag(*[sympy.sympify(e.replace("^", "**"), locals={"t": t})
+                        for e in payload["entries"]])
+    assert sympy.expand(basis.T * gram * basis - diag) == sympy.zeros(3, 3)
+    assert main(["diagonalize", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "pivot: (0, 2, 1)"
+
+
+CHAIN_KEYS = {"command", "seed", "instantiation", "degrees", "deep_point",
+              "q_multiplicity", "tangent_cone", "double_points", "delta",
+              "curves", "exit_code"}
+
+
+def test_cremona_chain_contract(capsys):
+    for seed in range(10):
+        argv = ["cremona-chain", "--seed", str(seed)]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert set(payload) == CHAIN_KEYS
+        assert payload["degrees"] == [8, 6, 4, 2]
+        assert payload["seed"] == seed
+        assert set(payload["curves"]) == {"C", "C1", "C2", "C3"}
+        # byte-identical reruns, JSON and text
+        for run in (argv + ["--output", "json"], argv):
+            outs = []
+            for _ in range(2):
+                assert main(run) == EXIT_OK
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+        assert outs[0].splitlines()[1] == "degrees: (8, 6, 4, 2)"
+    # a numeric bundle has no parameters to instantiate
+    code, payload = run_json(capsys, ["cremona-chain",
+                                      fixture_path("min844.cb")])
+    assert code == EXIT_INVALID
+    assert payload["exit_code"] == EXIT_INVALID
+    assert "free parameters" in payload["error"]

@@ -175,6 +175,118 @@ def test_cremona_validation():
                          ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
 
+def test_cremona_validation_lines():
+    std = standard_cremona()
+    w0, w1, w2 = (MultiPoly.variable(W3, v) for v in W3)
+    for wrong in ((w0, w1), (w0, w1, w0 + w2), (w0, w1, w2, w0 + w1),
+                  (w0, w1, w2 * 2 + 1), ()):
+        with pytest.raises(PlaneError, match="Jacobian"):
+            CremonaMap(slots=std.slots, inverse_slots=std.inverse_slots,
+                       lines=std.lines, inverse_lines=wrong)
+    cm = cremona_from_points((1, 1, 1), (0, 1, 0), (1, 0, -1))
+    with pytest.raises(PlaneError, match="Jacobian"):
+        CremonaMap(slots=cm.slots, inverse_slots=cm.inverse_slots,
+                   lines=cm.lines, inverse_lines=cm.lines)
+    inv = cm.inverse()
+    assert (inv.lines, inv.inverse_lines) == (cm.inverse_lines, cm.lines)
+
+
+def _sympy_poly(p: MultiPoly):
+    import sympy
+    syms = sympy.symbols(W3)
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+                           for e, c in p.terms.items()), sympy.S.Zero),
+                      *syms, domain="QQ")
+
+
+def _random_form(rng, degree):
+    return MultiPoly(W3, {(i, j, degree - i - j): Fraction(rng.randint(-5, 5))
+                          for i in range(degree + 1)
+                          for j in range(degree + 1 - i)})
+
+
+def _oracle_image(cmap, f: MultiPoly):
+    """f o inverse_slots with every factor of the inverse's Jacobian
+    removed, all in sympy."""
+    import sympy
+    syms = sympy.symbols(W3)
+    psi = [_sympy_poly(q) for q in cmap.inverse_slots]
+    one = sympy.Poly(1, *syms, domain="QQ")
+    g = sum((one * sympy.Rational(c.numerator, c.denominator)
+             * psi[0] ** e[0] * psi[1] ** e[1] * psi[2] ** e[2]
+             for e, c in f.terms.items()), one * 0)
+    r0, r1, r2 = ([q.diff(s) for s in syms] for q in psi)
+    jac = (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+           - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+           + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+    factors = [sympy.Poly(fac, *syms, domain="QQ")
+               for fac, _ in sympy.factor_list(jac.as_expr())[1]]
+    for fac in factors:
+        q, r = g.div(fac)
+        while r.is_zero:
+            g = q
+            q, r = g.div(fac)
+    return g, factors
+
+
+def _random_maps(rng, count):
+    maps = []
+    while len(maps) < count:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+        mat = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        try:
+            cm = cremona_from_points(*pts)
+            maps += [cm, recombine_target(cm, mat)]
+        except PlaneError:  # collinear points or a singular matrix
+            continue
+    return maps + [cm.inverse() for cm in maps]
+
+
+def test_cremona_apply_matches_sympy_strict_transform():
+    pytest.importorskip("sympy")
+    rng = random.Random(47)
+    for cm in _random_maps(rng, 4):
+        # the listed lines are exactly the Jacobian's irreducible factors
+        _, factors = _oracle_image(cm, _random_form(rng, 1))
+        ours = [_sympy_poly(ln).monic() for ln in cm.inverse_lines]
+        assert sorted(map(str, ours)) == sorted(
+            str(fac.monic()) for fac in factors)
+        # a general cubic, and curves h(slots) through every base point,
+        # whose image is h itself once the contracted lines are peeled
+        for f in (_random_form(rng, 3),
+                  _random_form(rng, 1).substitute(dict(zip(W3, cm.slots))),
+                  _random_form(rng, 2).substitute(dict(zip(W3, cm.slots)))):
+            want, _ = _oracle_image(cm, f)
+            got = _sympy_poly(cremona_apply(cm, PlaneCurve.make(f)).poly)
+            assert (got * want.LC() - want * got.LC()).is_zero, (cm, f)
+
+
+def test_chain_curves_pinned():
+    from conicbundles.cli import sample_chain_instantiation
+    tpl = load_fixture("u12_template.cb")
+    pinned = {
+        0: ("10*w0^2*w1^4 - 21*w0^2*w1^3*w2 + 28*w0^2*w1^2*w2^2"
+            " - 16*w0^2*w1*w2^3 + 2*w0^2*w2^4 - 22*w0*w1^2*w2^3"
+            " + 10*w0*w1*w2^4 + 12*w2^6",
+            "10*w0^4 - 21*w0^3*w1 - 40*w0^3*w2 + 28*w0^2*w1^2"
+            " + 82*w0^2*w1*w2 + 40*w0^2*w2^2 - 16*w0*w1^3 - 66*w0*w1^2*w2"
+            " - 80*w0*w1*w2^2 + 2*w1^4 + 24*w1^3*w2 + 40*w1^2*w2^2",
+            "10*w0^2 + 12*w0*w1 - 21*w0*w2 + 2*w1^2 - 16*w1*w2 + 16*w2^2"),
+        3: ("19*w0^2*w1^4 - 82*w0^2*w1^3*w2 + 92*w0^2*w1^2*w2^2"
+            " - 60*w0^2*w1*w2^3 + 20*w0^2*w2^4 + 48*w0*w1^2*w2^3"
+            " - 4*w0*w1*w2^4 - 44*w2^6",
+            "19*w0^4 - 82*w0^3*w1 - 76*w0^3*w2 + 92*w0^2*w1^2"
+            " + 240*w0^2*w1*w2 + 76*w0^2*w2^2 - 60*w0*w1^3"
+            " - 204*w0*w1^2*w2 - 152*w0*w1*w2^2 + 20*w1^4 + 40*w1^3*w2"
+            " + 76*w1^2*w2^2",
+            "19*w0^2 + 20*w0*w1 - 82*w0*w2 + 20*w1^2 - 60*w1*w2 + 72*w2^2"),
+    }
+    for seed, curves in pinned.items():
+        ch = chain_U12(tpl, sample_chain_instantiation(tpl, seed))
+        assert tuple(str(c.poly) for c in (ch.C1, ch.C2, ch.C3)) == curves
+
+
 # -- scroll images ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
-"""Univariate arithmetic over Q and the polynomial gcd, checked against
-sympy as an oracle on seeded random inputs."""
+"""Univariate arithmetic over Q and F_p, the Legendre symbol and the
+polynomial gcd, checked against sympy as an oracle on seeded random
+inputs."""
 
 import random
 from fractions import Fraction
@@ -7,17 +8,21 @@ from fractions import Fraction
 import pytest
 
 from conicbundles.exactmath import MultiPoly, poly_gcd
+from conicbundles.exactmath.modular import legendre, roots_mod_p
 from conicbundles.exactmath.univariate import (
+    udiscriminant,
     udivmod,
     ugcd_monic,
     umod,
     umonic,
     umul,
+    uresultant,
     usub,
     yun_squarefree,
 )
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 T = sympy.Symbol("t")
 X, Y = sympy.symbols("x y")
@@ -156,3 +161,69 @@ def test_poly_gcd_two_variables_against_sympy():
         assert d.content() == 1 and d.leading_term_grlex()[1] > 0
         checked += 1
     assert checked > 20
+
+
+def test_uresultant_against_sympy():
+    rng = random.Random(83)
+    for _ in range(40):
+        a = _rand_coeffs(rng, rng.randint(0, 6), den=4)
+        b = _rand_coeffs(rng, rng.randint(0, 6), den=4)
+        if len(a) == 1 and len(b) == 1:
+            continue
+        if rng.random() < 0.25:
+            # a common factor makes the resultant vanish
+            c = _rand_coeffs(rng, 1)
+            a, b = umul(a, c), umul(b, c)
+        # the determinant of sympy's own Sylvester matrix: sympy 1.14's
+        # resultant() gets the sign wrong on some pairs of odd degree
+        # product, e.g. Res(3t - 3, 2t^3 - 5t^2 + 4) = 27, not -27
+        want = sylvester(_to_sympy(a).as_expr(), _to_sympy(b).as_expr(),
+                         T).det()
+        got = uresultant(a, b)
+        assert got == Fraction(int(want.p), int(want.q))
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+        assert uresultant(b, a) == sign * got
+    assert uresultant([-3, 3], [4, 0, -5, 2]) == 27
+
+
+def test_udiscriminant_against_sympy():
+    rng = random.Random(89)
+    for _ in range(40):
+        a = _rand_coeffs(rng, rng.randint(1, 8), den=3)
+        if rng.random() < 0.25:
+            # a repeated factor makes the discriminant vanish
+            c = _rand_coeffs(rng, 1)
+            a = umul(a, umul(c, c))
+        want = sympy.discriminant(_to_sympy(a))
+        assert udiscriminant(a) == Fraction(int(want.p), int(want.q))
+
+
+def test_roots_mod_p_against_sympy():
+    rng = random.Random(97)
+    primes = [2, 3, 5, 7, 101, 10007, 1000003]
+    for _ in range(60):
+        p = rng.choice(primes)
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(2, 9))]
+        if rng.random() < 0.5:
+            # plant roots so that many cases have some
+            for r in (rng.randrange(p) for _ in range(rng.randint(1, 3))):
+                coeffs = [(x - r * y) for x, y in
+                          zip([0] + coeffs, coeffs + [0])]
+        if all(c % p == 0 for c in coeffs):
+            continue
+        poly = sympy.Poly(list(reversed(coeffs)), T, modulus=p)
+        want = sorted({int(-f.TC()) % p
+                       for f, _ in poly.factor_list()[1]
+                       if f.degree() == 1 and f.LC() % p == 1})
+        assert roots_mod_p(coeffs, p) == want, (coeffs, p)
+
+
+def test_legendre_against_sympy():
+    rng = random.Random(101)
+    for p in (3, 5, 7, 11, 10007, 1000003, 2**61 - 1):
+        for _ in range(25):
+            a = rng.randint(-10**12, 10**12)
+            if rng.random() < 0.1:
+                a = p * rng.randint(-5, 5)
+            want = sympy.jacobi_symbol(a % p, p)
+            assert legendre(a, p) == want, (a, p)
