@@ -1,9 +1,11 @@
 """Parameter-space machinery for the degree-8 discriminant families:
-total-space automorphisms acting on coefficient vectors by
-substitution, exact first-order dominance checks for the induced
-orbit maps, the special coefficient loci with their defining
-relations and samplers, deformation dimension counts, and fully
-symbolic verification of the splitting-type degeneration families.
+total-space automorphisms acting on coefficient vectors, exact
+first-order dominance checks for the induced orbit maps (the group
+columns come from the infinitesimal action at the identity, the
+derivatives of the bundle equation), the special coefficient loci with
+their defining relations and samplers, deformation dimension counts,
+and fully symbolic verification of the splitting-type degeneration
+families.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ _QUAD = ((2, 0), (1, 1), (0, 2))
 _QUART = ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
 
 # The fiber part of an automorphism is y_i -> sum_j B[i][j](x) y_j with
-# the x-degree of B[i][j] equal to a_i - a_j; entries not listed here
+# the x-degree of B[i][j] equal to a_j - a_i; entries not listed here
 # are structurally zero.
 _B_SHAPES = {
     (2, 1, 1): {
@@ -267,27 +269,8 @@ class AutParams:
     def identity(cls, weights) -> "AutParams":
         return cls.create(weights)
 
-    @classmethod
-    def from_chart(cls, weights, values) -> "AutParams":
-        """Group element from chart coordinates only; the normalized
-        entries stay pinned at 1."""
-        chart = chart_coordinates(weights)
-        bad = [nm for nm in values if nm not in chart]
-        if bad:
-            raise FamiliesError(
-                "%s are not chart coordinates for weights %s"
-                % (", ".join(sorted(bad)), tuple(weights)))
-        return cls.create(weights, values)
-
     def entry(self, name: str):
         return self.entries[name]
-
-    def chart_values(self) -> tuple:
-        return tuple(self.entries[nm]
-                     for nm in chart_coordinates(self.weights))
-
-    def is_identity(self) -> bool:
-        return self.entries == _aut_identity_values(self.weights)
 
 
 def _unit(v) -> bool:
@@ -385,59 +368,29 @@ def pullback(aut: AutParams, cb: ConicBundle) -> ConicBundle:
     return replace(cb, sigma=tuple(s.align(X2) for s in sigma))
 
 
-def compose(first: AutParams, second: AutParams) -> AutParams:
-    """The single substitution equivalent to pulling back along `second`
-    and then along `first`:
-
-        pullback(first, pullback(second, cb))
-            == pullback(compose(first, second), cb)
-
-    x-part alpha_second * alpha_first, fiber part
-    B_second(alpha_first x) * B_first(x)."""
-    if first.weights != second.weights:
-        raise FamiliesError("cannot compose automorphisms of weights %s "
-                            "and %s" % (first.weights, second.weights))
-    w = first.weights
-    e1, e2 = first.entries, second.entries
-    a1 = ((e1["alpha00"], e1["alpha01"]), (e1["alpha10"], e1["alpha11"]))
-    a2 = ((e2["alpha00"], e2["alpha01"]), (e2["alpha10"], e2["alpha11"]))
-    a_new = tuple(tuple(sum(a2[i][k] * a1[k][j] for k in range(2))
-                        for j in range(2)) for i in range(2))
-    u0, u1 = _x_images(first, X2)
-    b1 = _b_matrix(first)
-    b2 = [[p.substitute({"x0": u0, "x1": u1}) for p in row]
-          for row in _b_matrix(second)]
-    b_new = [[MultiPoly.zero(X2) for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = MultiPoly.zero(X2)
-            for k in range(3):
-                acc = acc + b2[i][k] * b1[k][j]
-            b_new[i][j] = acc
-    shape = _B_SHAPES[w]
-    entries = {"alpha00": a_new[0][0], "alpha01": a_new[0][1],
-               "alpha10": a_new[1][0], "alpha11": a_new[1][1]}
-    for i in range(3):
-        for j in range(3):
-            spec = shape.get((i, j))
-            p = b_new[i][j]
-            if spec is None:
-                if not p.is_zero():
-                    raise FamiliesError(
-                        "composition left the structured group shape at "
-                        "fiber entry (%d,%d)" % (i, j))
-                continue
-            allowed = {e: nm for e, nm in spec}
-            stray = [e for e in p.terms if e not in allowed]
-            if stray:
-                raise FamiliesError(
-                    "composition left the structured group shape at "
-                    "fiber entry (%d,%d)" % (i, j))
-            for e, nm in allowed.items():
-                entries[nm] = p.coeff(e)
-    out = _aut_identity_values(w)
-    out.update(entries)
-    return AutParams(weights=w, entries=out)
+def group_columns(cb: ConicBundle, chart) -> list:
+    """The derivative at the identity of the group action on the
+    coefficient vector of a numeric bundle, one column per named chart
+    coordinate.  With F the bundle equation, alpha_kl (x_k -> x_k +
+    eps*x_l) moves F by x_l*dF/dx_k, and a fiber entry of B[i][j] with
+    x-exponent e (y_i -> y_i + eps*x^e*y_j) moves it by x^e*y_j*dF/dy_i.
+    These are the eps-parts of `pullback` along the same entries."""
+    eq = bundle_equation(cb)
+    grad = {v: eq.derivative(v) for v in V5}
+    moves = {}
+    for k in range(2):
+        for l in range(2):
+            moves["alpha%d%d" % (k, l)] = ("x%d" % k, _LIN[l] + (0, 0, 0))
+    for (i, j), spec in _B_SHAPES[cb.weights.tuple].items():
+        for e, nm in spec:
+            moves[nm] = ("y%d" % i, e + tuple(int(j == k) for k in range(3)))
+    cols = []
+    for nm in chart:
+        var, m = moves[nm]
+        col = grad[var] * MultiPoly.monomial(V5, m)
+        cols.append(coefficient_vector(
+            replace(cb, sigma=_split_fiber_quadric(col))))
+    return cols
 
 
 # -- the special coefficient loci ----------------------------------------
@@ -645,10 +598,12 @@ def _jet_parts(v):
 def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
                               seed=None, group_coords=None) -> DominanceReport:
     """Exact rank of the orbit-map differential at the identity over a
-    fixed locus member: one dual-number column per group chart
-    coordinate plus one per free locus coefficient, de-projectivized
-    against the last flattened coefficient (index 21; when it vanishes
-    at the sample the largest nonzero index takes over, recorded)."""
+    fixed locus member.  The group columns are the infinitesimal action
+    of the chart coordinates on the coefficient vector (`group_columns`);
+    each free locus coefficient adds one dual-number column through
+    `spec.solve`.  The columns are de-projectivized against the last
+    flattened coefficient (index 21; when it vanishes at the sample the
+    largest nonzero index takes over, recorded)."""
     if cb.params:
         raise FamiliesError("rank check needs a numeric bundle")
     if cb.weights.tuple != spec.weights:
@@ -673,14 +628,7 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
             raise FamiliesError("not chart coordinates: %s"
                                 % ", ".join(bad))
         chart = tuple(group_coords)
-    ident = _aut_identity_values(spec.weights)
-
-    cols = []
-    for gname in chart:
-        entries = dict(ident)
-        entries[gname] = Jet(ident[gname], 1)
-        aut = AutParams(weights=spec.weights, entries=entries)
-        cols.append(coefficient_vector(pullback(aut, cb)))
+    cols = group_columns(cb, chart)
 
     base = dict(values)
     if "xi" in spec.free:
@@ -690,22 +638,15 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
                 for nm in spec.free}
         full = spec.solve(draw)
         cb2 = bundle_from_coefficients(spec.weights, full, spec.diagonal)
-        cols.append(coefficient_vector(cb2))
+        vals, eps = zip(*map(_jet_parts, coefficient_vector(cb2)))
+        if vals != f0:
+            raise FamiliesError(
+                "direction does not pass through the base point")
+        cols.append(eps)
 
-    rows = []
     fn = f0[n]
-    for i in range(len(f0)):
-        if i == n:
-            continue
-        row = []
-        for col in cols:
-            vi, ei = _jet_parts(col[i])
-            vn, en = _jet_parts(col[n])
-            if vi != f0[i] or vn != fn:
-                raise FamiliesError(
-                    "direction does not pass through the base point")
-            row.append(ei * fn - f0[i] * en)
-        rows.append(row)
+    rows = [[col[i] * fn - f0[i] * col[n] for col in cols]
+            for i in range(len(f0)) if i != n]
     rank = mat_rank(rows)
     return DominanceReport(
         locus=spec.name, weights=spec.weights, seed=seed,

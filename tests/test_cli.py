@@ -1,5 +1,5 @@
-"""Command-line contracts of the residue, diagonalization and
-Cremona-chain commands."""
+"""Command-line contracts of the residue, diagonalization, Cremona-chain
+and dominance commands."""
 
 import json
 from importlib.resources import files
@@ -8,7 +8,7 @@ import pytest
 
 from conicbundles.brauer import no_section_certificate
 from conicbundles.bundles import parse_bundle_text, validate_bundle
-from conicbundles.cli import EXIT_INVALID, EXIT_OK, main
+from conicbundles.cli import EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, main
 
 
 def fixture_path(name):
@@ -141,3 +141,39 @@ def test_cremona_chain_contract(capsys):
     assert code == EXIT_INVALID
     assert payload["exit_code"] == EXIT_INVALID
     assert "free parameters" in payload["error"]
+
+
+DOMINANCE_KEYS = {"command", "locus", "weights", "reports", "ok", "exit_code"}
+REPORT_KEYS = {"seed", "chart", "locus_dims", "columns", "normal_index",
+               "fallback", "rank", "expected", "ok"}
+
+
+def test_dominance_contract(capsys):
+    for name, weights in (("U_c2zero", [4, 0, 0]), ("U12", [4, 0, 0])):
+        argv = ["dominance", "--locus", name, "--seeds", "3", "--seed", "5"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_OK and payload["exit_code"] == EXIT_OK
+        assert set(payload) == DOMINANCE_KEYS
+        assert payload["weights"] == weights and payload["ok"]
+        assert [r["seed"] for r in payload["reports"]] == [5, 6, 7]
+        for rep in payload["reports"]:
+            assert set(rep) == REPORT_KEYS
+            assert rep["rank"] == rep["expected"] == 21 and rep["ok"]
+        # byte-identical reruns, JSON and text
+        for run in (argv + ["--output", "json"], argv):
+            outs = []
+            for _ in range(2):
+                assert main(run) == EXIT_OK
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
+        assert outs[0].splitlines()[-1] == "full rank at every seed"
+    for bad in (["--locus", "U_nope"], ["--locus", "U12", "--seeds", "0"]):
+        code, payload = run_json(capsys, ["dominance"] + bad)
+        assert code == EXIT_INVALID and payload["exit_code"] == EXIT_INVALID
+        assert "error" in payload
+    # special members of their loci: rank 20 of 21
+    for name, seed in (("U_442420", "3044"), ("U_433222", "14020")):
+        code, payload = run_json(capsys, ["dominance", "--locus", name,
+                                          "--seeds", "1", "--seed", seed])
+        assert code == EXIT_DEGENERATE and not payload["ok"]
+        assert payload["reports"][0]["rank"] == 20
