@@ -3,7 +3,7 @@ reduced rational functions, univariate factoring helpers, finite-field
 witnesses, fraction-free linear algebra, and first-order jets."""
 
 from .jets import Jet
-from .linalg import mat_det, mat_rank, nullspace, rref, solve_linear
+from .linalg import mat_det, mat_rank, nullspace, rref
 from .modular import (
     PrimeWitness,
     factorize,
@@ -18,7 +18,7 @@ from .modular import (
 )
 from .multipoly import MultiPoly, NotDivisible, poly_gcd
 from .parser import PolyParseError, parse_poly
-from .ratfunc import RatFunc, poly_at_ratfuncs
+from .ratfunc import RatFunc
 from .univariate import (
     as_univariate,
     is_square_rat,
@@ -26,7 +26,6 @@ from .univariate import (
     rational_roots,
     same_square_class,
     square_class_rat,
-    squarefree_decompose,
     squarefree_part_int,
     sqrt_rat,
     udiscriminant,
@@ -54,16 +53,13 @@ __all__ = [
     "next_prime",
     "nullspace",
     "parse_poly",
-    "poly_at_ratfuncs",
     "poly_gcd",
     "primes_from",
     "rational_roots",
     "roots_mod_p",
     "rref",
     "same_square_class",
-    "solve_linear",
     "square_class_rat",
-    "squarefree_decompose",
     "squarefree_part_int",
     "sqrt_rat",
     "udiscriminant",

@@ -125,20 +125,3 @@ def nullspace(rows):
             v[pc] = -m[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_linear(rows, rhs):
-    """One solution of A x = b over Q, or None if inconsistent."""
-    if not rows:
-        return []
-    nc = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    for r in range(len(m)):
-        if all(not c for c in m[r][:nc]) and m[r][nc]:
-            return None
-    x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots):
-        if pc < nc:
-            x[pc] = m[r][nc]
-    return x

@@ -302,8 +302,7 @@ class MultiPoly:
         """Substitute polynomials (or scalars) for variables.
 
         Values must all live in one common ring; unmapped variables must
-        exist in that ring and pass through unchanged.  For rational
-        function substitution see exactmath.ratfunc.substitute.
+        exist in that ring and pass through unchanged.
         """
         target = None
         vals = {}

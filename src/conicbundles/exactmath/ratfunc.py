@@ -146,18 +146,13 @@ class RatFunc:
             out = out * base
         return out
 
-    # -- evaluation and substitution ---------------------------------------
+    # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, mapping) -> Fraction:
         d = self.den.evaluate(mapping)
         if not d:
             raise ZeroDivisionError("denominator vanishes at the point")
         return self.num.evaluate(mapping) / d
-
-    def substitute(self, mapping) -> "RatFunc":
-        """Substitute RatFunc/MultiPoly/scalar images for variables."""
-        return poly_at_ratfuncs(self.num, mapping, self.num.vars) / \
-            poly_at_ratfuncs(self.den, mapping, self.den.vars)
 
     def derivative(self, var: str) -> "RatFunc":
         return RatFunc(
@@ -178,31 +173,3 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%s)" % self
-
-
-def poly_at_ratfuncs(p: MultiPoly, mapping, variables) -> RatFunc:
-    """Evaluate a polynomial at rational-function images; variables
-    absent from the mapping pass through unchanged."""
-    if not p.terms:
-        return RatFunc(p)
-    imgs = {}
-    for v, img in mapping.items():
-        imgs[v] = RatFunc.lift(img, variables)
-    acc = RatFunc.from_const(p.vars, 0)
-    cache: dict = {}
-
-    def power(v, e):
-        key = (v, e)
-        if key not in cache:
-            cache[key] = imgs[v] ** e if v in imgs else \
-                RatFunc(MultiPoly.monomial(p.vars, tuple(
-                    e if x == v else 0 for x in p.vars)))
-        return cache[key]
-
-    for exps, c in p.terms.items():
-        term = RatFunc.from_const(p.vars, c)
-        for v, e in zip(p.vars, exps):
-            if e:
-                term = term * power(v, e)
-        acc = acc + term
-    return acc

@@ -326,22 +326,6 @@ def as_univariate(p: MultiPoly, var: str | None = None):
     return var, utrim(out)
 
 
-def from_coeffs(ring_vars, var: str, coeffs) -> MultiPoly:
-    return MultiPoly.from_univariate(ring_vars, var, coeffs)
-
-
-def squarefree_decompose(p: MultiPoly):
-    """Monic pairwise-coprime square-free factors with multiplicities,
-    sorted by decreasing multiplicity then graded-lex leading term.
-    The product of factor^multiplicity is p up to a rational constant.
-    """
-    var, coeffs = as_univariate(p)
-    fac = yun_squarefree(coeffs)
-    out = [(from_coeffs(p.vars, var, f), m) for f, m in fac]
-    out.sort(key=lambda fm: (-fm[1], fm[0].leading_term_grlex()[0]))
-    return out
-
-
 def rational_roots(p: MultiPoly):
     _, coeffs = as_univariate(p)
     return urational_roots(coeffs)

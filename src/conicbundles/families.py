@@ -2,17 +2,19 @@
 total-space automorphisms acting on coefficient vectors, exact
 first-order dominance checks for the induced orbit maps (the group
 columns come from the infinitesimal action at the identity, the
-derivatives of the bundle equation), the special coefficient loci with
-their defining relations and samplers, deformation dimension counts,
-and fully symbolic verification of the splitting-type degeneration
-families.
+derivatives of the bundle equation; the locus columns span the kernel
+of the relations' Jacobian), the special coefficient loci, each stated
+once as a table of relations that drives sampling, membership and the
+tangent space, deformation dimension counts, and fully symbolic
+verification of the splitting-type degeneration families.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .bundles import (
     PAIRS,
@@ -30,10 +32,9 @@ from .exactmath import (
     is_square_rat,
     is_squarefree,
     mat_rank,
+    nullspace,
     parse_poly,
-    sqrt_rat,
 )
-from .plane import U12_RELATIONS
 
 X2 = ("x0", "x1")
 V5 = ("x0", "x1", "y0", "y1", "y2")
@@ -397,109 +398,81 @@ def group_columns(cb: ConicBundle, chart) -> list:
 
 @dataclass(frozen=True)
 class LocusSpec:
-    """A coefficient locus given by its defining relations (each listed
-    string vanishes on the locus), a free/dependent split used by the
-    sampler, and denominators that must stay nonzero when solving."""
+    """A coefficient locus as an ordered table of (dependent, relation)
+    pairs: every relation vanishes on the locus, is linear in its
+    dependent and mentions only free names and earlier dependents.  The
+    free names are the canonical names minus the dependents, so solving
+    the table top to bottom parametrizes the locus by them, and the
+    same parsed relations decide membership and span the tangent
+    space."""
     name: str
     weights: tuple
     diagonal: bool
     relations: tuple
-    free: tuple
-    nonzero: tuple
-    dimension: int
-    solve: object = field(compare=False)
 
+    @property
+    def names(self) -> tuple:
+        return _flat(coefficient_names(self.weights, self.diagonal))
 
-def _solve_u433222(v: dict) -> dict:
-    if not _unit(v["b0"]):
-        raise FamiliesError("b0 must not vanish on U_433222")
-    out = dict(v)
-    out.update(a0=Fraction(0), a1=Fraction(0), a3=Fraction(0),
-               a4=Fraction(0))
-    out["c3"] = v["b3"] * v["c0"] / v["b0"]
-    return out
+    @property
+    def free(self) -> tuple:
+        deps = {dep for dep, _ in self.relations}
+        return tuple(nm for nm in self.names if nm not in deps)
 
+    @property
+    def dimension(self) -> int:
+        return len(self.free)
 
-def _solve_u442420(v: dict) -> dict:
-    out = dict(v)
-    out.update(a3=Fraction(0), a4=Fraction(0), c2=Fraction(0))
-    return out
+    @cached_property
+    def parts(self) -> tuple:
+        """(dependent, relation, coefficient of the dependent, the
+        rest) per row, parsed over the canonical names."""
+        out = []
+        for dep, text in self.relations:
+            rel = parse_poly(text, self.names)
+            out.append((dep, rel, rel.coefficient_of_power(dep, 1),
+                        rel.coefficient_of_power(dep, 0)))
+        return tuple(out)
 
-
-def _solve_uc2zero(v: dict) -> dict:
-    out = dict(v)
-    out["c2"] = Fraction(0)
-    return out
-
-
-_U12_ORDER = ("a7", "a8", "a1", "a2", "a3", "a0", "b1", "b4", "b0")
-_U12_RHS = dict(U12_RELATIONS)
-
-
-def _solve_u12(v: dict) -> dict:
-    out = dict(v)
-    for nm in _U12_ORDER:
-        out[nm] = _U12_RHS[nm](out)
-    return out
-
-
-def _solve_udelta(v: dict) -> dict:
-    den = v["d0"] ** 2 - 4 * v["a0"] * v["c2"]
-    if not _unit(v["c2"]) or not _unit(den):
-        raise FamiliesError("U_delta needs c2 != 0 and d0^2 - 4 a0 c2 != 0")
-    out = dict(v)
-    out["c0"] = (v["xi"] ** 2 * v["c2"] - v["b0"] ** 2 * v["c2"]
-                 - v["a0"] * v["c1"] ** 2
-                 + v["b0"] * v["c1"] * v["d0"]) / den
-    return out
-
-
-def _names_minus(names6, drop):
-    return tuple(n for n in _flat(names6) if n not in drop)
+    def solve(self, draw: dict) -> dict:
+        """Extend values of the free names by the dependents, row by
+        row: dependent = -rest / coefficient."""
+        out = dict(draw)
+        for dep, _, lin, rest in self.parts:
+            den = lin.evaluate(out)
+            if not den:
+                raise FamiliesError("%s must not vanish on %s"
+                                    % (lin, self.name))
+            out[dep] = -rest.evaluate(out) / den
+        return out
 
 
 LOCI = {
     "U_433222": LocusSpec(
         name="U_433222", weights=(2, 1, 1), diagonal=False,
-        relations=("a0", "a1", "a3", "a4", "b0*c3 - c0*b3"),
-        free=_names_minus(_SECTION_NAMES[(2, 1, 1)],
-                          ("a0", "a1", "a3", "a4", "c3")),
-        nonzero=("b0",), dimension=17, solve=_solve_u433222),
+        relations=(("a0", "a0"), ("a1", "a1"), ("a3", "a3"), ("a4", "a4"),
+                   ("c3", "b0*c3 - c0*b3"))),
     "U_442420": LocusSpec(
         name="U_442420", weights=(2, 2, 0), diagonal=False,
-        relations=("a3", "a4", "c2"),
-        free=_names_minus(_SECTION_NAMES[(2, 2, 0)], ("a3", "a4", "c2")),
-        nonzero=(), dimension=19, solve=_solve_u442420),
+        relations=(("a3", "a3"), ("a4", "a4"), ("c2", "c2"))),
     "U_c2zero": LocusSpec(
         name="U_c2zero", weights=(4, 0, 0), diagonal=True,
-        relations=("c2",),
-        free=_names_minus(_DIAGONAL_NAMES_400, ("c2",)),
-        nonzero=(), dimension=21, solve=_solve_uc2zero),
+        relations=(("c2", "c2"),)),
     "U12": LocusSpec(
         name="U12", weights=(4, 0, 0), diagonal=False,
         relations=(
-            "a0 - a1 + a2 - a3 + a4 - a5 + a6 - a7",
-            "a1 - a5 - 1/2*b2 - 1/2*c2 - 1/2*d0 - 1/2*g0 - 1/2*h0",
-            "a2 + 2*a4 + 3*a6 + 1/2*b2 + 1/2*c2 - 1/4*d0 - 1/4*g0 "
-            "- 1/4*h0",
-            "a3 + 2*a5 + 1/2*b2 + 1/2*c2",
-            "a7",
-            "a8",
-            "b0 + g0 + 2*a1 + b1 + b2 + c1 + c0 + c4 + b4 + 2*a7 + h0 "
-            "+ d0 + 2*a5 + c3 + b3 + 2*a3 + c2",
-            "b1 + b3 + c1 + c3 + d0 + g0 + h0",
-            "b4 + c4",
-        ),
-        free=("a4", "a5", "a6", "b2", "b3", "c0", "c1", "c2", "c3", "c4",
-              "d0", "g0", "h0"),
-        nonzero=(), dimension=13, solve=_solve_u12),
-    "U_delta": LocusSpec(
-        name="U_delta", weights=(4, 0, 0), diagonal=True,
-        relations=("xi^2*c2 - b0^2*c2 + 4*a0*c0*c2 - a0*c1^2 "
-                   "+ b0*c1*d0 - d0^2*c0",),
-        free=_names_minus(_DIAGONAL_NAMES_400, ("c0",)) + ("xi",),
-        nonzero=("c2", "d0^2 - 4*a0*c2"), dimension=21,
-        solve=_solve_udelta),
+            ("a7", "a7"),
+            ("a8", "a8"),
+            ("a1", "a1 - a5 - 1/2*b2 - 1/2*c2 - 1/2*d0 - 1/2*g0 - 1/2*h0"),
+            ("a2", "a2 + 2*a4 + 3*a6 + 1/2*b2 + 1/2*c2 - 1/4*d0 - 1/4*g0 "
+                   "- 1/4*h0"),
+            ("a3", "a3 + 2*a5 + 1/2*b2 + 1/2*c2"),
+            ("a0", "a0 - a1 + a2 - a3 + a4 - a5 + a6 - a7"),
+            ("b1", "b1 + b3 + c1 + c3 + d0 + g0 + h0"),
+            ("b4", "b4 + c4"),
+            ("b0", "b0 + g0 + 2*a1 + b1 + b2 + c1 + c0 + c4 + b4 + 2*a7 "
+                   "+ h0 + d0 + 2*a5 + c3 + b3 + 2*a3 + c2"),
+        )),
 }
 
 # The four dominance statements: which locus feeds which weights.
@@ -514,32 +487,24 @@ def locus(name: str) -> LocusSpec:
                             % (name, ", ".join(sorted(LOCI))))
 
 
-def _udelta_square(values: dict) -> Fraction:
-    # the value whose squareness characterizes membership: minus four
-    # times the leading discriminant coefficient over c2
-    if not values["c2"]:
-        raise FamiliesError("U_delta membership needs c2 != 0")
-    num = (-4 * values["a0"] * values["c0"] * values["c2"]
-           + values["a0"] * values["c1"] ** 2
-           + values["b0"] ** 2 * values["c2"]
-           - values["b0"] * values["c1"] * values["d0"]
-           + values["d0"] ** 2 * values["c0"])
-    return num / values["c2"]
+def first_violation(spec: LocusSpec, values: dict):
+    """The first row of the table whose relation fails at the named
+    values, as (dependent, its value, the value the row forces on it,
+    None when its coefficient vanishes there); None on the locus."""
+    for dep, rel, lin, rest in spec.parts:
+        if rel.evaluate(values):
+            den = lin.evaluate(values)
+            return (dep, values[dep],
+                    -rest.evaluate(values) / den if den else None)
+    return None
 
 
 def locus_contains(spec: LocusSpec, cb: ConicBundle) -> bool:
     """Exact membership test for a numeric bundle."""
     if cb.weights.tuple != spec.weights:
         return False
-    values = bundle_coefficients(cb, spec.diagonal)
-    if spec.name == "U_delta":
-        return bool(values["c2"]) and is_square_rat(_udelta_square(values))
-    names = _flat(coefficient_names(spec.weights, spec.diagonal))
-    for rel in spec.relations:
-        p = parse_poly(rel, names)
-        if p.evaluate(values) != 0:
-            return False
-    return True
+    return first_violation(
+        spec, bundle_coefficients(cb, spec.diagonal)) is None
 
 
 def locus_member(spec: LocusSpec, seed, lo: int = -9, hi: int = 9,
@@ -552,7 +517,7 @@ def locus_member(spec: LocusSpec, seed, lo: int = -9, hi: int = 9,
         draw = {nm: Fraction(rng.randint(lo, hi)) for nm in spec.free}
         try:
             values = spec.solve(draw)
-        except (FamiliesError, ZeroDivisionError):
+        except FamiliesError:
             continue
         cb = bundle_from_coefficients(spec.weights, values, spec.diagonal)
         aff = dehomogenize(discriminant_form(cb))
@@ -589,19 +554,14 @@ class DominanceReport:
         return self.rank == self.expected
 
 
-def _jet_parts(v):
-    if isinstance(v, Jet):
-        return v.val, v.eps
-    return Fraction(v), Fraction(0)
-
-
 def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
                               seed=None, group_coords=None) -> DominanceReport:
     """Exact rank of the orbit-map differential at the identity over a
     fixed locus member.  The group columns are the infinitesimal action
     of the chart coordinates on the coefficient vector (`group_columns`);
-    each free locus coefficient adds one dual-number column through
-    `spec.solve`.  The columns are de-projectivized against the last
+    the locus columns are a basis of the kernel of the relations'
+    Jacobian at the member, its tangent space (the rank does not depend
+    on the basis).  The columns are de-projectivized against the last
     flattened coefficient (index 21; when it vanishes at the sample the
     largest nonzero index takes over, recorded)."""
     if cb.params:
@@ -609,9 +569,9 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
     if cb.weights.tuple != spec.weights:
         raise FamiliesError("bundle weights %s do not match locus %s"
                             % (cb.weights, spec.name))
-    if not locus_contains(spec, cb):
-        raise FamiliesError("bundle is not on locus %s" % spec.name)
     values = bundle_coefficients(cb, spec.diagonal)
+    if first_violation(spec, values) is not None:
+        raise FamiliesError("bundle is not on locus %s" % spec.name)
     f0 = coefficient_vector(cb)
     n = len(f0) - 1
     fallback = False
@@ -630,19 +590,16 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
         chart = tuple(group_coords)
     cols = group_columns(cb, chart)
 
-    base = dict(values)
-    if "xi" in spec.free:
-        base["xi"] = sqrt_rat(_udelta_square(values))
-    for fname in spec.free:
-        draw = {nm: Jet(base[nm], 1 if nm == fname else 0)
-                for nm in spec.free}
-        full = spec.solve(draw)
-        cb2 = bundle_from_coefficients(spec.weights, full, spec.diagonal)
-        vals, eps = zip(*map(_jet_parts, coefficient_vector(cb2)))
-        if vals != f0:
-            raise FamiliesError(
-                "direction does not pass through the base point")
-        cols.append(eps)
+    # the canonical names run in coefficient-vector order, so a kernel
+    # vector is already a column
+    jac = [[rel.derivative(nm).evaluate(values) for nm in spec.names]
+           for _, rel, _, _ in spec.parts]
+    tangent = nullspace(jac)
+    if len(tangent) != spec.dimension:
+        raise FamiliesError("locus %s is singular at the member: tangent "
+                            "space of dimension %d, expected %d"
+                            % (spec.name, len(tangent), spec.dimension))
+    cols.extend(tangent)
 
     fn = f0[n]
     rows = [[col[i] * fn - f0[i] * col[n] for col in cols]
@@ -651,7 +608,7 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
     return DominanceReport(
         locus=spec.name, weights=spec.weights, seed=seed,
         chart=_CHART_DESC[spec.weights], chart_size=len(chart),
-        locus_dims=len(spec.free), normal_index=n, fallback=fallback,
+        locus_dims=spec.dimension, normal_index=n, fallback=fallback,
         rank=rank, expected=len(f0) - 1)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .bundles import ConicBundle
+from .bundles import ConicBundle, instantiate
 from .exactmath import (
     MultiPoly,
     NotDivisible,
@@ -24,6 +24,7 @@ from .exactmath import (
     nullspace,
     sqrt_rat,
 )
+from .families import LOCI, bundle_coefficients, first_violation
 from .quadforms import DegeneratePivot, QuadraticForm3, diagonalize_pivoted
 
 W3 = ("w0", "w1", "w2")
@@ -380,37 +381,7 @@ def u12_coefficients(cb: ConicBundle) -> dict:
         raise PlaneError("chain needs weights (4,0,0), got %s" % cb.weights)
     if cb.params:
         raise PlaneError("chain needs a numeric bundle; instantiate first")
-    from .families import bundle_coefficients  # families imports plane
     return bundle_coefficients(cb)
-
-
-U12_RELATIONS = (
-    ("a0", lambda v: v["a1"] - v["a2"] + v["a3"] - v["a4"] + v["a5"]
-        - v["a6"] + v["a7"]),
-    ("a1", lambda v: v["a5"] + (v["b2"] + v["c2"] + v["d0"] + v["g0"]
-                                + v["h0"]) / 2),
-    ("a2", lambda v: -2 * v["a4"] - 3 * v["a6"]
-        - (v["b2"] + v["c2"]) / 2 + (v["d0"] + v["g0"] + v["h0"]) / 4),
-    ("a3", lambda v: -2 * v["a5"] - (v["b2"] + v["c2"]) / 2),
-    ("a7", lambda v: Fraction(0)),
-    ("a8", lambda v: Fraction(0)),
-    ("b0", lambda v: -(v["g0"] + 2 * v["a1"] + v["b1"] + v["b2"] + v["c1"]
-                       + v["c0"] + v["c4"] + v["b4"] + 2 * v["a7"] + v["h0"]
-                       + v["d0"] + 2 * v["a5"] + v["c3"] + v["b3"]
-                       + 2 * v["a3"] + v["c2"])),
-    ("b1", lambda v: -(v["b3"] + v["c1"] + v["c3"] + v["d0"] + v["g0"]
-                       + v["h0"])),
-    ("b4", lambda v: -v["c4"]),
-)
-
-
-def u12_check_relations(coeffs: dict):
-    for name, rhs in U12_RELATIONS:
-        want = rhs(coeffs)
-        if coeffs[name] != want:
-            raise PlaneError(
-                "chain locus relation violated: %s = %s but the relations "
-                "force %s" % (name, coeffs[name], want))
 
 
 def u12_delta(coeffs: dict) -> Fraction:
@@ -491,10 +462,12 @@ def chain_U12(cb: ConicBundle, instantiation=None) -> ChainU12:
     image, then three quadratic Cremona maps; verifies the locus
     relations, the 6-fold point, and the double points."""
     if instantiation:
-        from .bundles import instantiate
         cb = instantiate(cb, instantiation)
     coeffs = u12_coefficients(cb)
-    u12_check_relations(coeffs)
+    bad = first_violation(LOCI["U12"], coeffs)
+    if bad:
+        raise PlaneError("chain locus relation violated: %s = %s but the "
+                         "relations force %s" % bad)
     delta = u12_delta(coeffs)
     if not delta:
         raise PlaneError("chain degenerates: Delta = 0")
@@ -767,7 +740,6 @@ def tangent_2section_433222(cb: ConicBundle) -> TangentSectionData:
         raise PlaneError("tangent section needs weights (2,1,1)")
     if cb.params:
         raise PlaneError("tangent section needs a numeric bundle")
-    from .families import bundle_coefficients  # families imports plane
     v = bundle_coefficients(cb)
     for name in ("a0", "a1", "a3", "a4"):
         if v[name]:

@@ -233,44 +233,28 @@ class MestreFailure:
 
 
 def _scalar_field_coeffs(cb: ConicBundle):
-    """Sigma data of a (4,0,0) bundle as scalars: Fractions for a
-    numeric bundle, RatFuncs over the parameters otherwise."""
+    """Sigma data of a numeric (4,0,0) bundle as Fractions, each form
+    padded to its nine t-coefficients."""
     if cb.weights.tuple != (4, 0, 0):
         raise MestreError("normal form needs weights (4,0,0), got %s"
                           % cb.weights)
     out = []
-    if cb.params:
-        pvars = cb.params
-        for s in cb.sigma:
-            aff = dehomogenize(s, cb.params)
-            coeffs = [
-                RatFunc(aff.coefficient_of_power("t", k).drop_unused(pvars))
-                for k in range(9)
-            ]
-            out.append(coeffs)
-        one = RatFunc.from_const(pvars, 1)
-    else:
-        for s in cb.sigma:
-            aff = dehomogenize(s)
-            _, cs = as_univariate(aff, "t")
-            cs = cs + [Fraction(0)] * (9 - len(cs))
-            out.append(cs)
-        one = Fraction(1)
-    return out, one
+    for s in cb.sigma:
+        _, cs = as_univariate(dehomogenize(s), "t")
+        out.append(cs + [Fraction(0)] * (9 - len(cs)))
+    return out
 
 
 def mestre_core(cb: ConicBundle):
-    """Shared pipeline: P = -4*delta/sigma22, its leading coefficient
-    B and next coefficient A, and the recentred polynomial
-    R(u) = P(-A/(8B) - u); works symbolically when the bundle has
-    parameters."""
-    coeffs, one = _scalar_field_coeffs(cb)
-    s00, s01, s02, s11, s12, s22 = [list(c) for c in coeffs]
+    """The normal-form pipeline: P = -4*delta/sigma22, its leading
+    coefficient B and next coefficient A, and the recentred polynomial
+    R(u) = P(-A/(8B) - u)."""
+    s00, s01, s02, s11, s12, s22 = _scalar_field_coeffs(cb)
     c2 = s22[0]
-    if not bool(c2):
+    if not c2:
         raise MestreError("degenerate pivot: sigma22 = 0")
     disc0 = s12[0] * s12[0] - s11[0] * s22[0] * 4
-    if not bool(disc0):
+    if not disc0:
         raise MestreError(
             "degenerate pivot: sigma12^2 - 4*sigma11*sigma22 = 0")
     # delta coefficients in t, degree 8; sigma11/12/22 are constants
@@ -288,19 +272,19 @@ def mestre_core(cb: ConicBundle):
     p_low = [d * (-4) / c2 for d in delta]
     B = p_low[8]
     A = p_low[7]
-    if not bool(B):
+    if not B:
         raise MestreError("precondition failed: deg P < 8 "
                           "(leading coefficient vanishes)")
     shift = -(A / (B * 8))
     # R(u) = P(shift - u), expanded exactly
-    r_low = [one - one] * 9
-    pw = [one]  # powers of (shift - u) as coefficient lists in u
+    r_low = [Fraction(0)] * 9
+    pw = [Fraction(1)]  # powers of (shift - u) as coefficient lists in u
     for k in range(9):
-        if bool(p_low[k]):
+        if p_low[k]:
             for e, ce in enumerate(pw):
                 r_low[e] = r_low[e] + p_low[k] * ce
         if k < 8:
-            new = [one - one] * (len(pw) + 1)
+            new = [Fraction(0)] * (len(pw) + 1)
             for e, ce in enumerate(pw):
                 new[e] = new[e] + ce * shift
                 new[e + 1] = new[e + 1] - ce
@@ -308,7 +292,7 @@ def mestre_core(cb: ConicBundle):
     t_low = [r / B for r in r_low]
     return {
         "P_low": p_low, "A": A, "B": B, "shift": shift,
-        "T_low": t_low, "disc0": disc0, "c2": c2, "one": one,
+        "T_low": t_low, "disc0": disc0, "c2": c2,
     }
 
 
@@ -337,13 +321,3 @@ def mestre_normal_form(cb: ConicBundle):
                        A=core["A"],
                        P=MultiPoly.from_univariate(("t",), "t",
                                                    core["P_low"]))
-
-
-def u_delta_witness(a0, b0, c0, c1, c2, d0, xi) -> bool:
-    """Exact membership test for the incidence relation
-    xi^2*c2 - (b0^2 - 4*a0*c0)*c2 - a0*c1^2 + b0*c1*d0 - d0^2*c0 = 0."""
-    a0, b0, c0 = Fraction(a0), Fraction(b0), Fraction(c0)
-    c1, c2, d0, xi = Fraction(c1), Fraction(c2), Fraction(d0), Fraction(xi)
-    z = (xi * xi * c2 - (b0 * b0 - a0 * c0 * 4) * c2
-         - a0 * c1 * c1 + b0 * c1 * d0 - d0 * d0 * c0)
-    return z == 0

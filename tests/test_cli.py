@@ -1,5 +1,5 @@
-"""Command-line contracts of the residue, diagonalization, Cremona-chain
-and dominance commands."""
+"""Command-line contracts of the residue, diagonalization, Cremona-chain,
+dominance and Mestre normal-form commands."""
 
 import json
 from importlib.resources import files
@@ -8,7 +8,13 @@ import pytest
 
 from conicbundles.brauer import no_section_certificate
 from conicbundles.bundles import parse_bundle_text, validate_bundle
-from conicbundles.cli import EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, main
+from conicbundles.cli import (
+    EXIT_DEGENERATE,
+    EXIT_INVALID,
+    EXIT_NO_CERTIFICATE,
+    EXIT_OK,
+    main,
+)
 
 
 def fixture_path(name):
@@ -177,3 +183,37 @@ def test_dominance_contract(capsys):
                                           "--seeds", "1", "--seed", seed])
         assert code == EXIT_DEGENERATE and not payload["ok"]
         assert payload["reports"][0]["rank"] == 20
+
+
+MESTRE_KEYS = {"command", "file", "ok", "T", "c", "shift", "xi", "B", "A",
+               "exit_code"}
+
+
+def test_mestre_contract(capsys, tmp_path):
+    # min844 has B = -8: no normal form over Q
+    code, payload = run_json(capsys, ["mestre", fixture_path("min844.cb")])
+    assert code == EXIT_NO_CERTIFICATE and not payload["ok"]
+    assert payload["B"] == "-8" and "not a square" in payload["reason"]
+    for name, why in (("remark433222.cb", "weights"),
+                      ("u12_template.cb", "numeric")):
+        code, payload = run_json(capsys, ["mestre", fixture_path(name)])
+        assert code == EXIT_INVALID and payload["exit_code"] == EXIT_INVALID
+        assert why in payload["error"]
+    # a diagonal bundle with B = 4, so xi = 1/2
+    path = tmp_path / "b4.cb"
+    path.write_text("weights = 4 0 0\nsigma00 = x0^8\nsigma01 = x0^4\n"
+                    "sigma02 = x0^4\nsigma11 = -1\nsigma12 = 1\n"
+                    "sigma22 = 1\n")
+    code, payload = run_json(capsys, ["mestre", str(path)])
+    assert code == EXIT_OK and payload["ok"]
+    assert set(payload) == MESTRE_KEYS
+    assert payload["B"] == "4" and payload["xi"] == "1/2"
+    # byte-identical reruns, JSON and text
+    for argv in (["mestre", str(path), "--output", "json"],
+                 ["mestre", str(path)],
+                 ["mestre", fixture_path("min844.cb")]):
+        outs = []
+        for _ in range(2):
+            main(argv)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]

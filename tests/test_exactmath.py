@@ -24,7 +24,6 @@ from conicbundles.exactmath import (
     rational_roots,
     roots_mod_p,
     same_square_class,
-    solve_linear,
     sqrt_rat,
     square_class_rat,
     squarefree_part_int,
@@ -289,23 +288,6 @@ def test_nullspace_annihilates():
         for v in basis:
             for row in a:
                 assert sum(x * y for x, y in zip(row, v)) == 0
-
-
-def test_solve_linear_solves():
-    rng = random.Random(59)
-    solved = 0
-    for _ in range(20):
-        a = rand_matrix(rng, 3, 3)
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-        b = [sum(a[i][j] * x[j] for j in range(3)) for i in range(3)]
-        got = solve_linear(a, b)
-        if got is None:
-            assert mat_det(a) == 0
-            continue
-        solved += 1
-        for i in range(3):
-            assert sum(a[i][j] * got[j] for j in range(3)) == b[i]
-    assert solved > 10
 
 
 # -- univariate helpers -------------------------------------------------

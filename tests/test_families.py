@@ -4,6 +4,7 @@ counts, splitting-type degenerations."""
 
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
@@ -12,11 +13,12 @@ from conicbundles.bundles import (
     discriminant_form,
     instantiate,
     make_bundle,
+    parse_bundle_text,
     random_bundle,
     validate_bundle,
 )
 from conicbundles import families
-from conicbundles.exactmath import Jet, is_squarefree
+from conicbundles.exactmath import Jet, is_squarefree, parse_poly
 from conicbundles.exactmath.univariate import as_univariate
 from conicbundles.families import (
     DEGENERATION_PAIRS,
@@ -165,7 +167,6 @@ def test_locus_lookup():
     assert locus("U12").dimension == 13
     assert locus("U12").weights == (4, 0, 0)
     assert locus("U_433222").dimension == 17
-    assert locus("U_delta").diagonal
     with pytest.raises(FamiliesError, match="unknown locus"):
         locus("U_nope")
     assert set(DOMINANCE_PAIRS) <= set(LOCI)
@@ -193,15 +194,32 @@ def test_locus_contains_rejects():
     assert not locus_contains(spec, wrong_type)
 
 
-def test_udelta_membership_is_square_condition():
-    # -4*a0*c0*c2 + a0*c1^2 + b0^2*c2 - b0*c1*d0 + d0^2*c0 = -2 over c2
-    vals = {"a0": 1, "b0": 1, "c0": 1, "c1": 1, "c2": 1, "d0": 1}
-    vals = {k: Fraction(v) for k, v in vals.items()}
-    cb = bundle_from_coefficients((4, 0, 0), vals, diagonal=True)
-    assert not locus_contains(locus("U_delta"), cb)
-    vals["c0"] = Fraction(-1)  # value becomes -3*c0 + 1 = 4, a square
-    cb2 = bundle_from_coefficients((4, 0, 0), vals, diagonal=True)
-    assert locus_contains(locus("U_delta"), cb2)
+def test_locus_tables_are_triangular():
+    # each row is linear in its dependent and mentions only free names
+    # and earlier dependents, so the table solves top to bottom
+    for spec in LOCI.values():
+        names = flat_names(spec.weights, spec.diagonal)
+        known = set(spec.free)
+        for dep, text in spec.relations:
+            rel = parse_poly(text, names)
+            assert dep not in known, (spec.name, dep)
+            assert rel.degree_in(dep) == 1, (spec.name, dep)
+            assert rel.used_vars() <= known | {dep}, (spec.name, dep)
+            known.add(dep)
+        assert known == set(names)
+        assert spec.dimension == len(names) - len(spec.relations)
+
+
+def test_u12_template_is_the_u12_table():
+    text = (files("conicbundles") / "fixtures" / "u12_template.cb").read_text()
+    tpl = validate_bundle(parse_bundle_text(text))
+    spec = locus("U12")
+    assert tpl.params == spec.free
+    rng = random.Random(12)
+    for _ in range(10):
+        draw = {p: Fraction(rng.randint(-9, 9)) for p in tpl.params}
+        assert instantiate(tpl, draw).sigma == bundle_from_coefficients(
+            (4, 0, 0), spec.solve(draw)).sigma
 
 
 # -- dominance -----------------------------------------------------------------
@@ -258,6 +276,18 @@ def test_dominance_runs_without_pullback(monkeypatch):
     monkeypatch.setattr(families, "pullback", refuse)
     rep = dominance_report("U12", 0)
     assert rep.rank == 21 and rep.ok
+
+
+def test_dominance_rejects_singular_locus_point():
+    # b0 = c0 = b3 = c3 = 0 lies on b0*c3 - c0*b3 = 0, where the
+    # relation's gradient vanishes: the kernel outgrows the free names
+    vals = dict.fromkeys(flat_names((2, 1, 1)), Fraction(0))
+    vals.update(a2=Fraction(1), d0=Fraction(1), g1=Fraction(2),
+                h2=Fraction(3))
+    cb = bundle_from_coefficients((2, 1, 1), vals)
+    with pytest.raises(FamiliesError, match="tangent space of dimension "
+                                            "18, expected 17"):
+        jacobian_rank_at_identity(locus("U_433222"), cb)
 
 
 def test_rank_deficit_at_special_members(monkeypatch):

@@ -14,6 +14,7 @@ from conicbundles.bundles import (
     validate_bundle,
 )
 from conicbundles.exactmath import MultiPoly, parse_poly
+from conicbundles.families import bundle_from_coefficients
 from conicbundles.plane import (
     CHAIN_DOUBLE_POINTS,
     CHAIN_Q,
@@ -35,7 +36,6 @@ from conicbundles.plane import (
     scroll_image,
     standard_cremona,
     tangent_2section_433222,
-    u12_check_relations,
     u12_coefficients,
     u12_delta,
 )
@@ -379,12 +379,13 @@ def test_u12_relations_checker():
     from conicbundles.bundles import instantiate
     cb = instantiate(tpl, CHAIN_FREES)
     coeffs = u12_coefficients(cb)
-    u12_check_relations(coeffs)  # passes silently
     assert u12_delta(coeffs) == 2
+    chain_U12(cb)  # the relations hold
     broken = dict(coeffs)
     broken["a0"] += 1
-    with pytest.raises(PlaneError, match="relation"):
-        u12_check_relations(broken)
+    with pytest.raises(PlaneError, match="relation violated: a0 = 3 but "
+                                         "the relations force 2$"):
+        chain_U12(bundle_from_coefficients((4, 0, 0), broken))
 
 
 # -- conics over Q -----------------------------------------------------------

@@ -29,7 +29,6 @@ from conicbundles.quadforms import (
     diagonalize_pivoted,
     generic_fiber_form,
     mestre_normal_form,
-    u_delta_witness,
 )
 
 PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -234,12 +233,18 @@ def test_mestre_needs_numeric_bundle():
         mestre_normal_form(cb)
 
 
-def test_u_delta_witness_zero_relation():
-    # xi^2*c2 = (b0^2 - 4*a0*c0)*c2 + a0*c1^2 - b0*c1*d0 + d0^2*c0
-    assert u_delta_witness(0, 1, 0, 0, 1, 5, 1)
-    assert not u_delta_witness(0, 1, 0, 0, 1, 5, 2)
-    # a0=1, b0=0, c0=-1, c1=0, c2=1, d0=2: rhs = 4*1 + 0 - 0 + 4*(-1) = 0
-    assert u_delta_witness(1, 0, -1, 0, 1, 2, 0)
+def test_mestre_square_condition_on_diagonal_bundles():
+    # diagonal (4,0,0) bundles a0*x0^8, b0*x0^4, d0*x0^4, c0, c1, c2:
+    # B = (-4*a0*c0*c2 + a0*c1^2 + b0^2*c2 - b0*c1*d0 + d0^2*c0) / c2,
+    # and the normal form exists exactly when 1/B is a square
+    m = mestre_normal_form(make_bundle(
+        (4, 0, 0), ("x0^8", "x0^4", "x0^4", "1", "1", "1")))
+    assert isinstance(m, MestreFailure)
+    assert m.B == -2
+    m = mestre_normal_form(make_bundle(
+        (4, 0, 0), ("x0^8", "x0^4", "x0^4", "-1", "1", "1")))
+    assert isinstance(m, MestreModel)
+    assert m.B == 4 and m.xi == Fraction(1, 2)
 
 
 # -- the generic fiber over Q[t], checked against sympy -----------------
