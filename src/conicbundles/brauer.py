@@ -35,12 +35,13 @@ from .exactmath.univariate import (
     udivmod,
     uexact_div,
     ugcd_monic,
+    uinvmod,
     umod,
     umonic,
     umul,
+    upowmod,
     uprimitive,
     urational_roots,
-    usub,
     utrim,
     yun_squarefree,
 )
@@ -256,32 +257,6 @@ def valuation(r: RatFunc, place: Place) -> int:
     return vn - vd
 
 
-def _uinv_mod(a, f):
-    """Inverse of a modulo f over Q (extended Euclid)."""
-    r0, r1 = list(f), umod(a, f)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r2 = udivmod(r0, r1)
-        r0, r1 = r1, r2
-        s2 = usub(s0, umul(q, s1))
-        s0, s1 = s1, s2
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible modulo the place")
-    inv = 1 / r0[0]
-    return umod([c * inv for c in s0], f)
-
-
-def _upow_mod(a, e, f):
-    out = [Fraction(1)]
-    a = umod(a, f)
-    while e:
-        if e & 1:
-            out = umod(umul(out, a), f)
-        a = umod(umul(a, a), f)
-        e >>= 1
-    return out
-
-
 def _residue_value(a_pair, b_pair, f):
     """Unit part of (-1)^(va vb) a^vb / b^va reduced modulo f, as a
     coefficient list of degree < deg f."""
@@ -297,12 +272,12 @@ def _residue_value(a_pair, b_pair, f):
     den_acc = [Fraction(1)]
     for poly, e in ((na, vb), (da, -vb), (db, va), (nb, -va)):
         if e > 0:
-            num_acc = umod(umul(num_acc, _upow_mod(poly, e, f)), f)
+            num_acc = umod(umul(num_acc, upowmod(poly, e, f)), f)
         elif e < 0:
-            den_acc = umod(umul(den_acc, _upow_mod(poly, -e, f)), f)
+            den_acc = umod(umul(den_acc, upowmod(poly, -e, f)), f)
     if not den_acc or not num_acc:
         raise RuntimeError("place divides a unit part: inputs not reduced")
-    value = umod(umul(num_acc, _uinv_mod(den_acc, f)), f)
+    value = umod(umul(num_acc, uinvmod(den_acc, f)), f)
     if (va * vb) % 2:
         value = [-c for c in value]
     return va, vb, value
@@ -379,13 +354,12 @@ def nonsquare_witness(rc: ResidueClass,
     # non-squareness of a constant value proves nothing there; always
     # argue through a root of f mod p (a degree-one prime of the field)
     f = list(rc.place.f)
-    fprim = uprimitive(f)
+    fint = uprimitive(f)
     disc = udiscriminant(f)
     _, vcoeffs = as_univariate(rc.value, "t")
-    bad = abs(disc.numerator * disc.denominator) * int(fprim[-1])
+    bad = abs(disc.numerator * disc.denominator) * fint[-1]
     for c in vcoeffs + f:
         bad *= c.denominator
-    fint = [int(c) for c in fprim]
     for p in primes_from(3):
         if p > bound:
             return None
@@ -439,27 +413,37 @@ def no_section_certificate(cb: ConicBundle,
                            prime_bound: int = DEFAULT_PRIME_BOUND):
     """First residue of the bundle's diagonal model with a proven
     non-square value, scanning places in canonical order; None means
-    inconclusive.  See `certificate_from_residues` for the places
-    searched."""
+    inconclusive.  The residue is computed only at the places that
+    `_meets_delta` keeps, and the scan stops at the first witness; the
+    answer is that of `certificate_from_residues` on the full table."""
     if cb.has_flag("rational-by-section"):
         raise BrauerError(
             "bundle is flagged rational-by-section: it has a section")
     if cb.has_flag("degenerate-discriminant"):
         raise BundleError("discriminant vanishes identically")
     pair = brauer_model(cb)
-    return certificate_from_residues(cb, residues_all(pair, prime_bound),
-                                     prime_bound)
+    meets = _meets_delta(cb)
+    return _first_certificate(
+        (residue2(pair, pl) for pl in places_of_pair(pair, prime_bound)
+         if meets(pl)), prime_bound)
 
 
 def certificate_from_residues(cb: ConicBundle, rcs,
                               prime_bound: int = DEFAULT_PRIME_BOUND):
     """First of the residues `rcs` of brauer_model(cb), in their order,
-    with a proven non-square value; None means inconclusive.
+    at a place that `_meets_delta` keeps, with a proven non-square
+    value; None means inconclusive."""
+    meets = _meets_delta(cb)
+    return _first_certificate((rc for rc in rcs if meets(rc.place)),
+                              prime_bound)
 
-    Only infinity and the finite places whose polynomial shares a
-    factor with the affine discriminant Delta are searched; for an
-    irreducible place that means it divides Delta.  At every
-    irreducible factor of any other place the fiber form stays
+
+def _meets_delta(cb: ConicBundle):
+    """The test a place must pass to be searched: it is infinity, or
+    its polynomial shares a factor with the affine discriminant Delta;
+    for an irreducible place that means it divides Delta.
+
+    At every irreducible factor of any other place the fiber form stays
     nondegenerate modulo the factor, so the conic has good reduction
     there and the residue of its Brauer class is trivial
     (Colliot-Thelene & Skorobogatov, The Brauer-Grothendieck Group,
@@ -467,10 +451,14 @@ def certificate_from_residues(cb: ConicBundle, rcs,
     witness search could never succeed there, and skipping the place
     changes no certificate."""
     _, delta = as_univariate(discriminant(cb).delta_affine, "t")
+    return lambda place: place.is_infinite or \
+        len(ugcd_monic(delta, list(place.f))) > 1
+
+
+def _first_certificate(rcs, prime_bound: int):
+    """Certificate from the first residue in `rcs` with a proven
+    non-square value, or None."""
     for rc in rcs:
-        if not rc.place.is_infinite and \
-                len(ugcd_monic(delta, list(rc.place.f))) <= 1:
-            continue
         if rc.provably_trivial():
             continue
         w = nonsquare_witness(rc, prime_bound)

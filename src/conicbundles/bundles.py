@@ -19,7 +19,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, floor
+from math import floor
 
 from .exactmath import MultiPoly, is_squarefree, parse_poly
 from .exactmath.univariate import as_univariate
@@ -251,19 +251,6 @@ def dehomogenize(p: MultiPoly, params=()) -> MultiPoly:
     return MultiPoly(target, terms)
 
 
-def fiber_at(cb: ConicBundle, point):
-    """The six fiber-form coefficients at a base point (p, q) != (0, 0),
-    in canonical pair order."""
-    from .quadforms import QuadraticForm3
-    p, q = Fraction(point[0]), Fraction(point[1])
-    if not p and not q:
-        raise BundleError("(0, 0) is not a point of the base line")
-    if any(s.used_vars() - {"x0", "x1"} for s in cb.sigma):
-        raise BundleError("bundle has symbolic parameters; fix them first")
-    vals = [s.evaluate({"x0": p, "x1": q}) for s in cb.sigma]
-    return QuadraticForm3(tuple(vals))
-
-
 def instantiate(cb: ConicBundle, values: dict) -> ConicBundle:
     """Fix every symbolic parameter to a rational value and revalidate."""
     missing = [p for p in cb.params if p not in values]
@@ -336,29 +323,6 @@ def multidegrees_for_discriminant(n: int):
             out.append((w, Multidegree.from_weights(w, m)))
     out.sort(key=lambda wm: wm[1].diagonal)
     return out
-
-
-@dataclass(frozen=True)
-class BlowupMultidegree:
-    body: tuple
-    tail: int
-    exceptional: tuple
-
-
-def blowup_multidegree(d: int, m: int, h: int, n: int) -> BlowupMultidegree:
-    """Degree data of the blow-up of a degree-d hypersurface with a
-    multiplicity-m linear section: value d - k repeated C(h+k, k)
-    times for k = 0 .. d-m, extra entry d - m, exceptional bidegree
-    (m, d - m)."""
-    if not (0 <= m <= d):
-        raise ValueError("need 0 <= m <= d")
-    if not (0 <= h <= n):
-        raise ValueError("need 0 <= h <= n")
-    body = []
-    for k in range(d - m + 1):
-        body.extend([d - k] * comb(h + k, k))
-    return BlowupMultidegree(body=tuple(body), tail=d - m,
-                             exceptional=(m, d - m))
 
 
 # -- bundle files ------------------------------------------------------

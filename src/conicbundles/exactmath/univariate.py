@@ -1,16 +1,23 @@
 """The package's only dense univariate arithmetic over Q: division,
-gcd, square-free decomposition, rational roots, resultants.
+gcd, square-free decomposition, rational roots, resultants, and powers
+and inverses modulo a polynomial.
 Polynomials are coefficient lists of Fractions (low to high, no
 trailing zeros); wrappers accept MultiPoly values that use a single
 variable.
+
+Gcds are computed by Brown's dense modular algorithm on the primitive
+integer parts, modulo a fixed sequence of word-size primes, and a
+result is returned only once it divides both inputs exactly in Z[t];
+no Euclidean remainder sequence over Q is run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import count
+from math import gcd, isqrt, lcm
 
-from .modular import factorize
+from .modular import factorize, next_prime, pmod_gcd
 from .multipoly import MultiPoly
 
 
@@ -109,7 +116,7 @@ def udivmod(a, b):
 
 def umod(a, b):
     """Remainder of a by b; no quotient is built and the coefficients
-    are taken as they are (Fractions), which keeps gcds fast."""
+    are taken as they are (Fractions)."""
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     r = list(a)
@@ -134,10 +141,105 @@ def umonic(a):
     return [c * inv for c in a]
 
 
+_GCD_PRIMES: list = []
+
+
+def _gcd_primes():
+    """The primes above 2^62 in increasing order, memoised: the fixed
+    prime sequence of `ugcd_monic`."""
+    for i in count():
+        if i == len(_GCD_PRIMES):
+            _GCD_PRIMES.append(next_prime(
+                _GCD_PRIMES[-1] if _GCD_PRIMES else 1 << 62))
+        yield _GCD_PRIMES[i]
+
+
 def ugcd_monic(a, b):
-    while b:
-        a, b = b, umod(a, b)
-    return umonic(a)
+    """Monic gcd over Q ([] when both inputs are zero), by Brown's dense
+    modular algorithm (Brown, J. ACM 18, 1971; Geddes, Czapor & Labahn,
+    Algorithms for Computer Algebra, 1992, ch. 7).
+
+    A and B are the primitive integer parts of a and b.  Modulo a prime
+    p that divides neither leading coefficient, deg gcd(A mod p, B mod p)
+    is at least deg gcd(A, B), so a constant image proves the gcd is 1.
+    Otherwise the images, scaled by gcd(lc A, lc B), are combined by the
+    Chinese remainder theorem; an image of smaller degree shows that the
+    earlier primes were unlucky, and the combination starts over from
+    it.  The primitive part H of the symmetric lift is returned only
+    once it divides A and B exactly in Z[t]: then H divides the gcd and
+    has at least its degree, so H is the gcd."""
+    A, B = uprimitive(a), uprimitive(b)
+    if not A:
+        return umonic(b)
+    if not B:
+        return umonic(a)
+    if len(A) == 1 or len(B) == 1:
+        return [Fraction(1)]
+    g = gcd(A[-1], B[-1])
+    modulus, image = 1, None
+    for p in _gcd_primes():
+        if A[-1] % p == 0 or B[-1] % p == 0:
+            continue
+        gp = pmod_gcd([c % p for c in A], [c % p for c in B], p)
+        if len(gp) == 1:
+            return [Fraction(1)]
+        if image is not None and len(gp) > len(image):
+            continue
+        gp = [g * c % p for c in gp]
+        if image is None or len(gp) < len(image):
+            modulus, image = p, gp
+        else:
+            inv = pow(modulus, -1, p)
+            image = [x + modulus * ((y - x) * inv % p)
+                     for x, y in zip(image, gp)]
+            modulus *= p
+        h = uprimitive([c - modulus if 2 * c > modulus else c
+                        for c in image])
+        if _divides(h, A) and _divides(h, B):
+            return [Fraction(c, h[-1]) for c in h]
+
+
+def _divides(d, a) -> bool:
+    """True iff the integer list d divides the integer list a in Z[t]."""
+    r = list(a)
+    n = len(d) - 1
+    while len(r) > n:
+        q, m = divmod(r[-1], d[-1])
+        if m:
+            return False
+        k = len(r) - 1 - n
+        for j in range(n):
+            r[k + j] -= q * d[j]
+        r.pop()
+        utrim(r)
+    return not r
+
+
+def uinvmod(a, f):
+    """Inverse of a modulo f over Q, by the extended Euclidean
+    algorithm; ZeroDivisionError when a and f are not coprime."""
+    r0, r1 = list(f), umod(a, f)
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r2 = udivmod(r0, r1)
+        r0, r1 = r1, r2
+        s0, s1 = s1, usub(s0, umul(q, s1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("element not invertible modulo f")
+    inv = 1 / r0[0]
+    return umod([c * inv for c in s0], f)
+
+
+def upowmod(a, e, f):
+    """a^e modulo f for e >= 0, by repeated squaring."""
+    out = [Fraction(1)]
+    a = umod(a, f)
+    while e:
+        if e & 1:
+            out = umod(umul(out, a), f)
+        a = umod(umul(a, a), f)
+        e >>= 1
+    return out
 
 
 def uderiv(a):
@@ -152,20 +254,17 @@ def uexact_div(a, b):
 
 
 def uprimitive(a):
-    """Scale to coprime integer coefficients, positive leading one."""
+    """The coprime integer coefficients of a nonzero rational multiple
+    of a, with positive leading one."""
+    a = utrim([Fraction(c) for c in a])
     if not a:
         return []
-    num = 0
-    den = 1
-    for c in a:
-        c = Fraction(c)
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num)
-    out = [Fraction(c) * scale for c in a]
+    den = lcm(*(c.denominator for c in a))
+    out = [c.numerator * (den // c.denominator) for c in a]
+    g = gcd(*out)
     if out[-1] < 0:
-        out = [-c for c in out]
-    return out
+        g = -g
+    return [c // g for c in out]
 
 
 def yun_squarefree(a):
@@ -207,13 +306,13 @@ def urational_roots(a):
     a = a[k:]
     if len(a) > 1:
         # a root num/den in lowest terms has num | a0 and den | an
-        p = [int(c) for c in uprimitive(a)]
+        p = uprimitive(a)
         for num, den in _root_candidates(p):
             if len(p) == 1:
                 break
             while len(p) > 1 and _is_root(p, num, den):
                 roots.append(Fraction(num, den))
-                p = [int(c) for c in uprimitive(uexact_div(p, [-num, den]))]
+                p = uprimitive(uexact_div(p, [-num, den]))
     return sorted(roots)
 
 

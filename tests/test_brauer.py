@@ -11,6 +11,7 @@ from conicbundles.brauer import (
     NoSectionCertificate,
     Place,
     ResidueClass,
+    certificate_from_residues,
     no_section_certificate,
     nonsquare_witness,
     places_of_pair,
@@ -33,7 +34,7 @@ from conicbundles.exactmath import (
     RatFunc,
     parse_poly,
 )
-from conicbundles.exactmath.univariate import as_univariate, umod
+from conicbundles.exactmath.univariate import as_univariate, ugcd_monic, umod
 from conicbundles.quadforms import BrauerPair, brauer_model
 
 T = ("t",)
@@ -244,6 +245,79 @@ def test_certificate_search_stays_on_discriminant(monkeypatch):
             assert not umod(delta, list(place.f)), (cb, place)
         if cert is not None:
             assert scanned[-1] == cert.place
+
+
+def _split_400(roots, s11, s22):
+    """Diagonal (4,0,0) bundle with sigma00 = prod (x0 - r x1)."""
+    x0, x1 = (MultiPoly.variable(("x0", "x1"), v) for v in ("x0", "x1"))
+    sigma00 = x0 - x1 * roots[0]
+    for r in roots[1:]:
+        sigma00 = sigma00 * (x0 - x1 * r)
+    return validate_bundle(make_bundle(
+        (4, 0, 0), (str(sigma00), "0", "0", str(s11), "0", str(s22))))
+
+
+def _search_bundles():
+    out = [random_bundle(wt, seed=s, lo=-bound, hi=bound)
+           for wt in ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
+           for s in (11, 12, 13) for bound in (9, 99)]
+    rng = random.Random(4242)
+    for s11, s22 in ((3, -1), (-2, 5), (7, 7), (1, -1)):
+        mags = rng.sample(range(30, 51), 8)
+        out.append(_split_400([m * rng.choice((-1, 1)) for m in mags],
+                              s11, s22))
+    return [cb for cb in out if not cb.has_flag("rational-by-section")]
+
+
+def test_lazy_search_computes_residues_only_where_it_looks(monkeypatch):
+    # residue2 runs at the places of Delta and infinity, in order, and
+    # stops at the certificate's place
+    import conicbundles.brauer as brauer_mod
+    visited = []
+    real = brauer_mod.residue2
+
+    def recording(pair, place):
+        visited.append(place)
+        return real(pair, place)
+
+    monkeypatch.setattr(brauer_mod, "residue2", recording)
+    for cb in _search_bundles():
+        visited.clear()
+        cert = no_section_certificate(cb)
+        _, delta = as_univariate(discriminant(cb).delta_affine, "t")
+        want = [pl for pl in places_of_pair(brauer_model(cb))
+                if pl.is_infinite or len(ugcd_monic(delta, list(pl.f))) > 1]
+        if cert is not None:
+            want = want[:want.index(cert.place) + 1]
+        assert visited == want, cb
+
+
+def test_lazy_search_matches_the_full_table():
+    for cb in _search_bundles():
+        lazy = no_section_certificate(cb)
+        full = certificate_from_residues(cb, residues_all(brauer_model(cb)))
+        assert (lazy is None) == (full is None), cb
+        if lazy is not None:
+            assert lazy.serialize() == full.serialize()
+            assert lazy.warnings == full.warnings
+
+
+def test_certificate_643_pinned():
+    # weights (6,4,3): Delta has degree 26 and the certificate sits at
+    # its irreducible factor of degree 26
+    cert = no_section_certificate(random_bundle((6, 4, 3), seed=4))
+    assert cert.serialize() == (
+        "place=t^26+167/25*t^25+653/50*t^24-201/25*t^23-443/25*t^22"
+        "-2079/50*t^21+277/50*t^20+2036/25*t^19+1813/25*t^18-859/50*t^17"
+        "+2413/50*t^16+84*t^15-149/2*t^14-363/10*t^13+2269/25*t^12"
+        "-1733/25*t^11-111/5*t^10+7423/50*t^9-3169/50*t^8-4773/25*t^7"
+        "+2603/25*t^6+396/5*t^5-241/2*t^4-1427/50*t^3+4717/50*t^2"
+        "+207/50*t-371/10 "
+        "residue=-12*t^20-60*t^19-47*t^18+80*t^17+136*t^16+202*t^15"
+        "-164*t^14-656*t^13-5*t^12+6*t^11-514*t^10+292*t^9+134*t^8"
+        "-466*t^7+199*t^6+190*t^5-573*t^4-60*t^3+631*t^2+18*t-287 "
+        "prime=19 root=11")
+    assert verify_certificate(cert)
 
 
 def test_split_quadratic_place_no_false_certificate():

@@ -7,20 +7,17 @@ from fractions import Fraction
 import pytest
 
 from conicbundles.bundles import (
-    BlowupMultidegree,
     BundleError,
     ConicBundle,
     Multidegree,
     Weights,
     alcuin_count,
     alcuin_count_closed,
-    blowup_multidegree,
     bundle_equation,
     bundle_to_text,
     dehomogenize,
     discriminant,
     discriminant_form,
-    fiber_at,
     instantiate,
     load_bundle,
     make_bundle,
@@ -117,16 +114,6 @@ def test_discriminant_is_half_gram_determinant():
             assert discriminant_form(cb) == det
 
 
-def test_fiber_at_evaluates_sigma():
-    cb = make_bundle((2, 1, 1), ("x0^4", "x0^3 + x1^3", "x0^2*x1",
-                                 "x0*x1", "x1^2", "x0^2"))
-    q = fiber_at(cb, (2, 1))
-    assert q.alpha[0] == 16
-    assert q.alpha[1] == 9
-    with pytest.raises(BundleError):
-        fiber_at(cb, (0, 0))
-
-
 def test_instantiate_requires_all_params():
     cb = make_bundle((4, 0, 0), ("u*x0^8", "0", "0", "1", "0", "v"),
                      params=("u", "v"))
@@ -195,19 +182,6 @@ def test_multidegree_enumeration_counts():
         for w, md in rows:
             assert md.total == n
             assert Multidegree.from_weights(w, md.d00 % 2) == md
-
-
-def test_blowup_multidegree_example():
-    got = blowup_multidegree(4, 2, 1, 2)
-    assert got == BlowupMultidegree(body=(4, 3, 3, 2, 2, 2), tail=2,
-                                    exceptional=(2, 2))
-
-
-def test_blowup_multidegree_validation():
-    with pytest.raises(ValueError):
-        blowup_multidegree(2, 3, 1, 2)
-    with pytest.raises(ValueError):
-        blowup_multidegree(4, 2, 3, 2)
 
 
 # -- files and sampling --------------------------------------------------

@@ -338,7 +338,9 @@ def test_discriminant_detects_double_roots():
 
 def test_uprimitive_and_exact_div():
     f = [Fraction(2), Fraction(4), Fraction(6)]
-    assert uprimitive(f) == [Fraction(1), Fraction(2), Fraction(3)]
+    assert uprimitive(f) == [1, 2, 3]
+    got = uprimitive([Fraction(1, 2), Fraction(-1, 3), Fraction(0)])
+    assert got == [-3, 2] and all(type(c) is int for c in got)
     prod = umul([Fraction(1), Fraction(1)], [Fraction(-3), Fraction(2)])
     assert uexact_div(prod, [Fraction(1), Fraction(1)]) \
         == [Fraction(-3), Fraction(2)]

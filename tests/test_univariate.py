@@ -8,14 +8,18 @@ from fractions import Fraction
 import pytest
 
 from conicbundles.exactmath import MultiPoly, poly_gcd
-from conicbundles.exactmath.modular import legendre, roots_mod_p
+from conicbundles.exactmath import univariate
+from conicbundles.exactmath.modular import legendre, primes_from, roots_mod_p
 from conicbundles.exactmath.univariate import (
     udiscriminant,
     udivmod,
     ugcd_monic,
+    uinvmod,
     umod,
     umonic,
     umul,
+    upowmod,
+    uprimitive,
     uresultant,
     usub,
     yun_squarefree,
@@ -81,18 +85,122 @@ def test_udivmod_and_umod_against_sympy():
         umod([Fraction(1)], [])
 
 
+def _sympy_gcd(a, b):
+    return _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)).monic())
+
+
+def _planted_pairs(rng, count, max_deg=26, height=9, den=7):
+    """Pairs g*u, g*v with a planted common factor g; the degrees of
+    g*u and g*v stay at most max_deg."""
+    for _ in range(count):
+        dg = rng.randint(0, 12)
+        g = _rand_coeffs(rng, dg, den=den)
+        g = [c * rng.randint(1, height) for c in g]
+        u = _rand_coeffs(rng, rng.randint(0, max_deg - dg), den=den)
+        v = _rand_coeffs(rng, rng.randint(0, max_deg - dg), den=den)
+        yield umul(g, u), umul(g, v)
+
+
 def test_ugcd_monic_against_sympy():
     rng = random.Random(823)
     for _ in range(80):
         g = _rand_coeffs(rng, rng.randint(0, 3), den=3)
         a = umul(g, _rand_coeffs(rng, rng.randint(0, 5), den=3))
         b = umul(g, _rand_coeffs(rng, rng.randint(0, 5), den=3))
-        want = _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)).monic())
+        want = _sympy_gcd(a, b)
         assert ugcd_monic(a, b) == want, (a, b)
         assert ugcd_monic(b, a) == want, (a, b)
     assert ugcd_monic([Fraction(2), Fraction(4)], []) == \
         [Fraction(1, 2), Fraction(1)]
     assert ugcd_monic([], []) == []
+
+
+def test_ugcd_monic_planted_factors_up_to_degree_26():
+    rng = random.Random(829)
+    for a, b in _planted_pairs(rng, 60):
+        want = _sympy_gcd(a, b)
+        assert ugcd_monic(a, b) == want, (a, b)
+    # coefficients far above the gcd primes need several of them
+    for a, b in _planted_pairs(rng, 10, height=10**40):
+        assert ugcd_monic(a, b) == _sympy_gcd(a, b), (a, b)
+
+
+def test_ugcd_monic_coprime_zero_and_constant():
+    rng = random.Random(839)
+    for _ in range(40):
+        a = _rand_coeffs(rng, rng.randint(1, 20), den=9)
+        b = _rand_coeffs(rng, rng.randint(1, 20), den=9)
+        assert ugcd_monic(a, b) == _sympy_gcd(a, b), (a, b)
+    f = _rand_coeffs(rng, 6, den=5)
+    assert ugcd_monic(f, []) == ugcd_monic([], f) == umonic(f)
+    assert ugcd_monic(f, f) == umonic(f)
+    assert ugcd_monic([Fraction(-3, 7)], f) == [Fraction(1)]
+    assert ugcd_monic(f, [Fraction(5)]) == [Fraction(1)]
+    assert ugcd_monic([Fraction(-2)], []) == [Fraction(1)]
+    assert ugcd_monic([Fraction(0), Fraction(1, 2)], [0, 0, 3]) == \
+        [Fraction(0), Fraction(1)]
+
+
+def test_ugcd_monic_with_small_primes(monkeypatch):
+    # with the primes 3, 5, 7, ... some divide a leading coefficient,
+    # some give a gcd image of too high degree, and the coefficients
+    # need the Chinese remainder theorem over several primes
+    seen = []
+    real = univariate.pmod_gcd
+
+    def recording(a, b, p):
+        g = real(a, b, p)
+        seen.append((p, len(g) - 1))
+        return g
+
+    monkeypatch.setattr(univariate, "_gcd_primes", lambda: primes_from(3))
+    monkeypatch.setattr(univariate, "pmod_gcd", recording)
+
+    def gcd_images(a, b):
+        seen.clear()
+        got = ugcd_monic(a, b)
+        assert got == _sympy_gcd(a, b), (a, b)
+        return got, list(seen)
+
+    # lc 15: the primes 3 and 5 are skipped
+    got, images = gcd_images(umul([-1, 1], [4, 15]), umul([-1, 1], [2, 1]))
+    assert got == [Fraction(-1), Fraction(1)]
+    assert images[0][0] == 7
+    # t - 1 is the gcd, but mod 3 both cofactors become t - 1 as well
+    got, images = gcd_images(umul([-1, 1], [-4, 1]), umul([-1, 1], [-7, 1]))
+    assert images[0] == (3, 2) and got == [Fraction(-1), Fraction(1)]
+    # a gcd with coefficients of 12 digits takes several primes
+    g = [Fraction(10**12 + 39), Fraction(-999983), Fraction(1)]
+    got, images = gcd_images(umul(g, [3, 1]), umul(g, [5, 2, 1]))
+    assert got == g and len(images) > 5
+    rng = random.Random(853)
+    unlucky = skipped = 0
+    for a, b in _planted_pairs(rng, 40, max_deg=14, height=99):
+        _, images = gcd_images(a, b)
+        unlucky += any(d > images[-1][1] for _, d in images)
+        lcs = uprimitive(a)[-1] * uprimitive(b)[-1]
+        skipped += any(lcs % p == 0 for p in (3, 5, 7, 11))
+    assert unlucky and skipped
+
+
+def test_upowmod_and_uinvmod_against_sympy():
+    rng = random.Random(857)
+    for _ in range(40):
+        f = _rand_coeffs(rng, rng.randint(1, 6), den=5)
+        a = _rand_coeffs(rng, rng.randint(0, 8), den=5)
+        e = rng.randint(0, 12)
+        fs, as_ = _to_sympy(f), _to_sympy(a)
+        want = _from_sympy(sympy.rem(as_ ** e, fs))
+        assert upowmod(a, e, f) == want, (a, e, f)
+        if sympy.gcd(as_, fs).degree() > 0:
+            with pytest.raises(ZeroDivisionError):
+                uinvmod(a, f)
+            continue
+        inv = uinvmod(a, f)
+        assert inv == _from_sympy(sympy.invert(as_, fs)), (a, f)
+        assert umod(umul(inv, a), f) == [Fraction(1)]
+    with pytest.raises(ZeroDivisionError):
+        uinvmod([Fraction(-2), Fraction(1)], umul([-2, 1], [1, 1]))
 
 
 def test_umonic_and_usub():
