@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import BundleError, ConicBundle, discriminant
-from .exactmath import MultiPoly, RatFunc, is_square_rat, legendre
+from .exactmath import (
+    MultiPoly,
+    RatFunc,
+    is_square_rat,
+    legendre,
+    modp_irreducible_witness,
+)
 from .exactmath.modular import (
     PrimeWitness,
     pmod_eval,
@@ -210,10 +216,13 @@ def _ratfunc_parts(r: RatFunc):
 
 
 def places_of_pair(pair: BrauerPair,
-                   prime_bound: int = DEFAULT_PRIME_BOUND):
+                   prime_bound: int = DEFAULT_PRIME_BOUND,
+                   keep=lambda f: True):
     """Finite places supporting div(a) or div(b) (square-free
     decomposition, coprime refinement, rational-root splitting), in
-    canonical order, followed by the infinite place."""
+    canonical order, followed by the infinite place.  A finite place
+    whose monic coefficient tuple f fails `keep(f)` is dropped before
+    its irreducibility is certified."""
     pool = []
     for r in (pair.a, pair.b):
         for part in _ratfunc_parts(r):
@@ -224,20 +233,18 @@ def places_of_pair(pair: BrauerPair,
         roots = urational_roots(f)
         cof = f
         for r in roots:
-            cof = uexact_div(cof, [-r, Fraction(1)])
-            places.append(Place(f=(-r, Fraction(1)), irreducibility="linear"))
-        cof = umonic(cof)
-        if len(cof) - 1 >= 2:
+            lin = (-r, Fraction(1))
+            cof = uexact_div(cof, list(lin))
+            if keep(lin):
+                places.append(Place(f=lin))
+        cof = tuple(umonic(cof))
+        if len(cof) - 1 >= 2 and keep(cof):
             fpoly = MultiPoly.from_univariate(("t",), "t", cof)
-            from .exactmath import modp_irreducible_witness
             w = modp_irreducible_witness(fpoly, bound=prime_bound)
             places.append(Place(
-                f=tuple(cof),
+                f=cof,
                 irreducibility="certified" if w else "assumed",
                 witness=w))
-    places = [Place(f=tuple(p.f) if p.f else None,
-                    irreducibility=p.irreducibility, witness=p.witness)
-              for p in places]
     places.sort(key=lambda p: p.sort_key())
     places.append(Place(f=None, irreducibility="infinite"))
     return places
@@ -413,19 +420,19 @@ def no_section_certificate(cb: ConicBundle,
                            prime_bound: int = DEFAULT_PRIME_BOUND):
     """First residue of the bundle's diagonal model with a proven
     non-square value, scanning places in canonical order; None means
-    inconclusive.  The residue is computed only at the places that
-    `_meets_delta` keeps, and the scan stops at the first witness; the
-    answer is that of `certificate_from_residues` on the full table."""
+    inconclusive.  Only the places that `_meets_delta` keeps are
+    certified irreducible and given a residue, and the scan stops at
+    the first witness; the answer is that of `certificate_from_residues`
+    on the full table."""
     if cb.has_flag("rational-by-section"):
         raise BrauerError(
             "bundle is flagged rational-by-section: it has a section")
     if cb.has_flag("degenerate-discriminant"):
         raise BundleError("discriminant vanishes identically")
     pair = brauer_model(cb)
-    meets = _meets_delta(cb)
-    return _first_certificate(
-        (residue2(pair, pl) for pl in places_of_pair(pair, prime_bound)
-         if meets(pl)), prime_bound)
+    places = places_of_pair(pair, prime_bound, keep=_meets_delta(cb))
+    return _first_certificate((residue2(pair, pl) for pl in places),
+                              prime_bound)
 
 
 def certificate_from_residues(cb: ConicBundle, rcs,
@@ -434,14 +441,15 @@ def certificate_from_residues(cb: ConicBundle, rcs,
     at a place that `_meets_delta` keeps, with a proven non-square
     value; None means inconclusive."""
     meets = _meets_delta(cb)
-    return _first_certificate((rc for rc in rcs if meets(rc.place)),
-                              prime_bound)
+    return _first_certificate(
+        (rc for rc in rcs if rc.place.is_infinite or meets(rc.place.f)),
+        prime_bound)
 
 
 def _meets_delta(cb: ConicBundle):
-    """The test a place must pass to be searched: it is infinity, or
-    its polynomial shares a factor with the affine discriminant Delta;
-    for an irreducible place that means it divides Delta.
+    """The test a finite place f must pass to be searched (infinity is
+    always searched): f shares a factor with the affine discriminant
+    Delta; for an irreducible place that means it divides Delta.
 
     At every irreducible factor of any other place the fiber form stays
     nondegenerate modulo the factor, so the conic has good reduction
@@ -451,13 +459,13 @@ def _meets_delta(cb: ConicBundle):
     witness search could never succeed there, and skipping the place
     changes no certificate."""
     _, delta = as_univariate(discriminant(cb).delta_affine, "t")
-    return lambda place: place.is_infinite or \
-        len(ugcd_monic(delta, list(place.f))) > 1
+    return lambda f: len(ugcd_monic(delta, list(f))) > 1
 
 
 def _first_certificate(rcs, prime_bound: int):
     """Certificate from the first residue in `rcs` with a proven
-    non-square value, or None."""
+    non-square value, or None.  The certificate is re-checked by
+    `verify_certificate` before it is returned."""
     for rc in rcs:
         if rc.provably_trivial():
             continue
@@ -470,6 +478,10 @@ def _first_certificate(rcs, prime_bound: int):
                 "place %s has no irreducibility certificate below the "
                 "prime bound; the witness still refutes squareness at "
                 "one of its irreducible factors" % rc.place,)
-        return NoSectionCertificate(place=rc.place, residue=rc,
+        cert = NoSectionCertificate(place=rc.place, residue=rc,
                                     witness=w, warnings=warnings)
+        if not verify_certificate(cert):
+            raise AssertionError("certificate failed its re-check: %s"
+                                 % cert.serialize())
+        return cert
     return None

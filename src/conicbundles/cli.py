@@ -10,8 +10,9 @@ single JSON object per run.  Exit codes partition the outcomes:
         collapsed chain, rank deficit)
     3   no certificate found (inconclusive one-sided test)
 
-All randomness flows through the --seed flag; reruns with the same
-inputs produce byte-identical output.
+All randomness flows through the --seed flag of `dominance` and
+`cremona-chain`; reruns with the same inputs produce byte-identical
+output.  Each flag is accepted only by the commands that read it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -72,14 +72,6 @@ DEFAULT_PRIME_BOUND = 10**4
 DEFAULT_HEIGHT_BOUND = 10**4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    prime_bound: int = DEFAULT_PRIME_BOUND
-    height_bound: int = DEFAULT_HEIGHT_BOUND
-    output: str = "text"
-
-
 class CommandFailure(Exception):
     """Terminates a command with a specific exit code and message."""
 
@@ -127,7 +119,7 @@ def _triple(text: str) -> Weights:
 # Each returns (exit_code, payload, lines); payload is the JSON object,
 # lines the text rendering of the same facts.
 
-def cmd_validate(args, cfg):
+def cmd_validate(args):
     cb = _load(args.file)
     lines = [
         "weights: (%d, %d, %d)" % cb.weights.tuple,
@@ -153,7 +145,7 @@ def cmd_validate(args, cfg):
     return EXIT_OK, payload, lines
 
 
-def cmd_discriminant(args, cfg):
+def cmd_discriminant(args):
     cb = _load(args.file)
     data = discriminant(cb)
     if data.degenerate:
@@ -184,7 +176,7 @@ def _require_numeric(cb, what: str):
         raise CommandFailure(EXIT_INVALID, "%s needs a numeric bundle" % what)
 
 
-def cmd_diagonalize(args, cfg):
+def cmd_diagonalize(args):
     cb = _load(args.file)
     _require_numeric(cb, "diagonalization")
     form = generic_fiber_form(cb)
@@ -210,7 +202,7 @@ def cmd_diagonalize(args, cfg):
     return EXIT_OK, payload, lines
 
 
-def cmd_residues(args, cfg):
+def cmd_residues(args):
     cb = _load(args.file)
     _require_numeric(cb, "the residue table")
     if cb.has_flag("degenerate-discriminant"):
@@ -225,8 +217,8 @@ def cmd_residues(args, cfg):
         pair = brauer_model(cb)
     except DegeneratePivot as exc:
         raise CommandFailure(EXIT_DEGENERATE, str(exc))
-    rcs = residues_all(pair, cfg.prime_bound)
-    cert = certificate_from_residues(cb, rcs, cfg.prime_bound)
+    rcs = residues_all(pair, args.prime_bound)
+    cert = certificate_from_residues(cb, rcs, args.prime_bound)
     lines = [
         "a = %s" % pair.a,
         "b = %s" % pair.b,
@@ -272,7 +264,7 @@ def cmd_residues(args, cfg):
     return EXIT_OK, payload, lines
 
 
-def cmd_enumerate(args, cfg):
+def cmd_enumerate(args):
     if args.d < 0:
         raise CommandFailure(EXIT_INVALID, "--d must be non-negative")
     rows = multidegrees_for_discriminant(args.d)
@@ -297,7 +289,7 @@ def cmd_enumerate(args, cfg):
     return code, payload, lines
 
 
-def cmd_cohomology(args, cfg):
+def cmd_cohomology(args):
     w = _triple(args.type)
     table = deformation_table(w)
     lines = [
@@ -316,7 +308,7 @@ def cmd_cohomology(args, cfg):
     return EXIT_OK, payload, lines
 
 
-def cmd_dominance(args, cfg):
+def cmd_dominance(args):
     if args.locus not in DOMINANCE_PAIRS:
         raise CommandFailure(
             EXIT_INVALID, "unknown locus %r (choose from %s)" % (
@@ -335,7 +327,7 @@ def cmd_dominance(args, cfg):
     reports = []
     all_ok = True
     for k in range(args.seeds):
-        seed = cfg.seed + k
+        seed = args.seed + k
         try:
             rep = dominance_report(args.locus, seed)
         except FamiliesError as exc:
@@ -390,7 +382,7 @@ def sample_chain_instantiation(template, seed, lo: int = -9, hi: int = 9,
                          % max_attempts)
 
 
-def cmd_cremona_chain(args, cfg):
+def cmd_cremona_chain(args):
     if args.file:
         template = _load(args.file)
     else:
@@ -403,14 +395,14 @@ def cmd_cremona_chain(args, cfg):
         raise CommandFailure(
             EXIT_INVALID,
             "the chain template needs free parameters to instantiate")
-    values = sample_chain_instantiation(template, cfg.seed)
+    values = sample_chain_instantiation(template, args.seed)
     try:
         chain = chain_U12(template, instantiation=values)
     except (PlaneError, BundleError) as exc:
         raise CommandFailure(EXIT_DEGENERATE, str(exc))
     lines = ["instantiation (seed %d): %s" % (
-        cfg.seed, ", ".join("%s = %s" % (p, values[p])
-                            for p in template.params))]
+        args.seed, ", ".join("%s = %s" % (p, values[p])
+                             for p in template.params))]
     lines.append("degrees: (%s)" % ", ".join(str(d) for d in chain.degrees))
     lines.append("multiplicity %d at (%d, %d, %d)" % (
         (chain.q_multiplicity,) + CHAIN_Q))
@@ -424,7 +416,7 @@ def cmd_cremona_chain(args, cfg):
                                               curve.poly))
     payload = {
         "command": "cremona-chain",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "instantiation": {p: str(values[p]) for p in template.params},
         "degrees": list(chain.degrees),
         "deep_point": list(CHAIN_Q),
@@ -439,7 +431,7 @@ def cmd_cremona_chain(args, cfg):
     return EXIT_OK, payload, lines
 
 
-def cmd_degenerate(args, cfg):
+def cmd_degenerate(args):
     key = args.pair.replace(" ", "").replace("_", "-")
     if "->" not in key and key.count("-") == 1:
         key = key.replace("-", "->")
@@ -468,7 +460,7 @@ def cmd_degenerate(args, cfg):
     return (EXIT_OK if report.ok else EXIT_DEGENERATE), payload, lines
 
 
-def cmd_conic_point(args, cfg):
+def cmd_conic_point(args):
     parts = args.coeffs.replace("(", " ").replace(")", " ").split(",")
     if len(parts) != 6:
         raise CommandFailure(
@@ -480,7 +472,7 @@ def cmd_conic_point(args, cfg):
         conic = ConicQ(coeffs)
     except (ValueError, ZeroDivisionError) as exc:
         raise CommandFailure(EXIT_INVALID, str(exc))
-    result = conic_has_point(conic, height=cfg.height_bound)
+    result = conic_has_point(conic, height=args.height_bound)
     lines = ["conic: %s" % conic.poly(), "status: %s" % result.status]
     if result.note:
         lines.append("note: %s" % result.note)
@@ -504,7 +496,7 @@ def cmd_conic_point(args, cfg):
     return EXIT_NO_CERTIFICATE, payload, lines
 
 
-def cmd_mestre(args, cfg):
+def cmd_mestre(args):
     cb = _load(args.file)
     if cb.weights.tuple != (4, 0, 0):
         raise CommandFailure(EXIT_INVALID,
@@ -555,16 +547,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, "%s: error: %s\n" % (self.prog, message))
 
 
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError("must be positive, got %d" % n)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="base seed for all sampling (default 0)")
-    common.add_argument("--prime-bound", type=int,
-                        default=DEFAULT_PRIME_BOUND, metavar="N",
-                        help="largest prime tried for witnesses")
-    common.add_argument("--height-bound", type=int,
-                        default=DEFAULT_HEIGHT_BOUND, metavar="N",
-                        help="largest coordinate tried in point searches")
     common.add_argument("--output", choices=("text", "json"),
                         default="text", help="report format")
 
@@ -595,6 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("residues", cmd_residues,
             "residue report and no-section certificate search")
     p.add_argument("file")
+    p.add_argument("--prime-bound", type=_positive,
+                   default=DEFAULT_PRIME_BOUND, metavar="N",
+                   help="largest prime tried for witnesses")
 
     p = add("enumerate", cmd_enumerate,
             "weight types with a given discriminant degree")
@@ -614,11 +611,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight triple (checked against the locus)")
     p.add_argument("--seeds", type=int, default=5,
                    help="number of consecutive seeds (default 5)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base seed for sampling (default 0)")
 
     p = add("cremona-chain", cmd_cremona_chain,
             "run the plane reduction on a seeded chain member")
     p.add_argument("file", nargs="?", default=None,
                    help="template file (default: shipped template)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base seed for sampling (default 0)")
 
     p = add("degenerate", cmd_degenerate,
             "verify one splitting-type degeneration symbolically")
@@ -630,6 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeffs",
                    help="six comma-separated rationals "
                         "(w0^2, w0*w1, w1^2, w0*w2, w1*w2, w2^2)")
+    p.add_argument("--height-bound", type=_positive,
+                   default=DEFAULT_HEIGHT_BOUND, metavar="N",
+                   help="largest coordinate tried in point searches")
 
     p = add("mestre", cmd_mestre,
             "degree-8 normal form of a numeric (4,0,0) bundle")
@@ -641,22 +645,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.prime_bound <= 0 or args.height_bound <= 0:
-        parser.exit(EXIT_INVALID,
-                    "conicbundles: error: bounds must be positive\n")
-    cfg = RunConfig(seed=args.seed, prime_bound=args.prime_bound,
-                    height_bound=args.height_bound, output=args.output)
     try:
-        code, payload, lines = args.fn(args, cfg)
+        code, payload, lines = args.fn(args)
     except CommandFailure as fail:
-        if cfg.output == "json":
+        if args.output == "json":
             print(json.dumps({"command": args.cmd, "error": fail.message,
                               "exit_code": fail.code}, indent=2))
         else:
             print("error: %s" % fail.message, file=sys.stderr)
         return fail.code
     payload["exit_code"] = code
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))

@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over Q,
-reduced rational functions, univariate factoring helpers, finite-field
-witnesses, fraction-free linear algebra, and first-order jets."""
+reduced fractions of polynomials in one variable (the a and b of the
+diagonal conic model), univariate helpers with a modular gcd,
+finite-field witnesses, fraction-free linear algebra, and first-order
+jets."""
 
 from .jets import Jet
 from .linalg import mat_det, mat_rank, nullspace, rref
@@ -23,9 +25,6 @@ from .univariate import (
     as_univariate,
     is_square_rat,
     is_squarefree,
-    rational_roots,
-    same_square_class,
-    square_class_rat,
     squarefree_part_int,
     sqrt_rat,
     udiscriminant,
@@ -55,11 +54,8 @@ __all__ = [
     "parse_poly",
     "poly_gcd",
     "primes_from",
-    "rational_roots",
     "roots_mod_p",
     "rref",
-    "same_square_class",
-    "square_class_rat",
     "squarefree_part_int",
     "sqrt_rat",
     "udiscriminant",

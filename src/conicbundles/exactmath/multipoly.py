@@ -450,122 +450,23 @@ class MultiPoly:
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """GCD via recursive content / primitive-part pseudo-remainders.
-
-    Result is primitive with positive grlex leading coefficient, also
-    when only one variable is involved.  Constants have gcd 1.
-    """
+    """Gcd of two polynomials that use at most one variable between
+    them, by `univariate.ugcd_monic`.  The result lives in the caller's
+    ring and is primitive with positive leading coefficient; constants
+    have gcd 1.  Raises ValueError when two variables are used."""
     a._check_same_vars(b)
+    used = a.used_vars() | b.used_vars()
+    if len(used) > 1:
+        raise ValueError("poly_gcd takes polynomials in one variable, "
+                         "got %s" % ", ".join(sorted(used)))
     if a.is_zero():
         return b.primitive_normalized()
     if b.is_zero():
         return a.primitive_normalized()
-    used = sorted(a.used_vars() | b.used_vars(), key=a.vars.index)
     if not used:
         return MultiPoly.const(a.vars, 1)
-    g = _gcd_rec(a, b, used)
-    return g.align(a.vars).primitive_normalized()
-
-
-def _as_coeff_polys(p: MultiPoly, main: str, rest: tuple):
-    """Split p into coefficients of powers of the main variable, each a
-    MultiPoly over rest."""
-    i = p.vars.index(main)
-    idx = [p.vars.index(v) for v in rest]
-    d = p.degree_in(main)
-    coeffs = [dict() for _ in range(d + 1)]
-    for e, c in p.terms.items():
-        coeffs[e[i]][tuple(e[j] for j in idx)] = c
-    return [MultiPoly(rest, t) for t in coeffs]
-
-
-def _rebuild(coeffs, main: str, rest: tuple) -> MultiPoly:
-    allv = rest + (main,)
-    out = {}
-    for k, cp in enumerate(coeffs):
-        for e, c in cp.terms.items():
-            out[e + (k,)] = c
-    return MultiPoly(allv, out)
-
-
-def _gcd_rec(a: MultiPoly, b: MultiPoly, used) -> MultiPoly:
-    vs = tuple(used)
-    a = a.drop_unused(keep=vs).align(vs)
-    b = b.drop_unused(keep=vs).align(vs)
-    if len(vs) == 1:
-        # univariate imports modular, which imports this module
-        from .univariate import as_univariate, ugcd_monic
-        var = vs[0]
-        g = ugcd_monic(as_univariate(a, var)[1], as_univariate(b, var)[1])
-        return MultiPoly.from_univariate(vs, var, g)
-    main = vs[-1]
-    rest = vs[:-1]
-    ca = _as_coeff_polys(a, main, rest)
-    cb = _as_coeff_polys(b, main, rest)
-    cont_a = _content_rec(ca, rest)
-    cont_b = _content_rec(cb, rest)
-    cont = _gcd_rec(cont_a, cont_b, rest)
-    pa = _primitive_part(a, ca, cont_a, main, rest)
-    pb = _primitive_part(b, cb, cont_b, main, rest)
-    g = _primitive_prs(pa, pb, main, rest)
-    return (g.align(vs) * cont.align(vs)).primitive_normalized()
-
-
-def _content_rec(coeffs, rest) -> MultiPoly:
-    g = MultiPoly.zero(rest)
-    for cp in coeffs:
-        if cp.is_zero():
-            continue
-        used = sorted(g.used_vars() | cp.used_vars(), key=rest.index) or [rest[0]]
-        if g.is_zero():
-            g = cp
-        else:
-            g = _gcd_rec(g, cp, used).align(rest)
-        if g.is_constant():
-            return MultiPoly.const(rest, 1)
-    return g.primitive_normalized() if not g.is_zero() else MultiPoly.const(rest, 1)
-
-
-def _primitive_part(p, coeffs, cont, main, rest) -> MultiPoly:
-    if cont.is_constant():
-        return p.primitive_normalized()
-    newc = [c.exact_div(cont) for c in coeffs]
-    return _rebuild(newc, main, rest).align(p.vars).primitive_normalized()
-
-
-def _primitive_prs(a: MultiPoly, b: MultiPoly, main: str, rest) -> MultiPoly:
-    # primitive pseudo-remainder sequence in the main variable
-    if a.degree_in(main) < b.degree_in(main):
-        a, b = b, a
-    while True:
-        if b.is_zero():
-            return a.primitive_normalized()
-        r = _pseudo_rem(a, b, main, rest)
-        if r.is_zero():
-            # b divides a up to content
-            cb = _as_coeff_polys(b, main, rest)
-            contb = _content_rec(cb, rest)
-            return _primitive_part(b, cb, contb, main, rest)
-        cr = _as_coeff_polys(r, main, rest)
-        contr = _content_rec(cr, rest)
-        r = _primitive_part(r, cr, contr, main, rest)
-        a, b = b, r
-        if b.degree_in(main) == 0:
-            # coprime in the main variable
-            return MultiPoly.const(a.vars, 1)
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, main: str, rest) -> MultiPoly:
-    da = a.degree_in(main)
-    db = b.degree_in(main)
-    lb = b.coefficient_of_power(main, db)
-    vs = a.vars
-    x = MultiPoly.variable(vs, main)
-    r = a
-    while not r.is_zero() and r.degree_in(main) >= db:
-        dr = r.degree_in(main)
-        lr = r.coefficient_of_power(main, dr)
-        r = r * lb - b * lr * x ** (dr - db)
-        if not r.is_zero() and r.degree_in(main) >= dr:
-            raise ArithmeticError("pseudo-division failed to reduce degree")
-    return r
+    # univariate imports modular, which imports this module
+    from .univariate import as_univariate, ugcd_monic
+    (var,) = used
+    g = ugcd_monic(as_univariate(a, var)[1], as_univariate(b, var)[1])
+    return MultiPoly.from_univariate(a.vars, var, g).primitive_normalized()

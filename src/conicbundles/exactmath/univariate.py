@@ -51,22 +51,6 @@ def squarefree_part_int(n: int) -> int:
     return out
 
 
-def square_class_rat(q) -> Fraction:
-    """Canonical representative of q modulo nonzero rational squares:
-    the signed square-free integer sf(num*den).  Zero maps to zero."""
-    q = Fraction(q)
-    if q == 0:
-        return Fraction(0)
-    return Fraction(squarefree_part_int(q.numerator * q.denominator))
-
-
-def same_square_class(a, b) -> bool:
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        return a == b
-    return is_square_rat(a * b)
-
-
 # -- list-level arithmetic (dense, low to high) -----------------------
 
 def utrim(a):
@@ -424,7 +408,3 @@ def as_univariate(p: MultiPoly, var: str | None = None):
         out[e[i]] += c
     return var, utrim(out)
 
-
-def rational_roots(p: MultiPoly):
-    _, coeffs = as_univariate(p)
-    return urational_roots(coeffs)

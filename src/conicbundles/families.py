@@ -499,14 +499,6 @@ def first_violation(spec: LocusSpec, values: dict):
     return None
 
 
-def locus_contains(spec: LocusSpec, cb: ConicBundle) -> bool:
-    """Exact membership test for a numeric bundle."""
-    if cb.weights.tuple != spec.weights:
-        return False
-    return first_violation(
-        spec, bundle_coefficients(cb, spec.diagonal)) is None
-
-
 def locus_member(spec: LocusSpec, seed, lo: int = -9, hi: int = 9,
                  max_attempts: int = 400) -> ConicBundle:
     """Seeded integer member satisfying the relations exactly,

@@ -535,10 +535,6 @@ class ConicQ:
         return self.form().value(tuple(Fraction(x) for x in point))
 
 
-def conic_discriminant(c: ConicQ) -> Fraction:
-    return c.form().discriminant()
-
-
 # -- Hilbert symbols and local solvability --------------------------------
 
 def _vp(q: Fraction, p: int) -> int:

@@ -169,8 +169,6 @@ class BrauerPair:
     a: RatFunc
     b: RatFunc
     pivot: tuple = (0, 1, 2)
-    diagonal: tuple | None = None
-    basis: tuple | None = None
 
 
 def generic_fiber_form(cb: ConicBundle) -> QuadraticForm3:
@@ -184,33 +182,28 @@ def generic_fiber_form(cb: ConicBundle) -> QuadraticForm3:
 
 def brauer_model(cb: ConicBundle) -> BrauerPair:
     """Diagonal conic a*x^2 + b*y^2 - z^2 = 0 isomorphic over Q(t) to
-    the generic fiber: a = -d0/d2, b = -d1/d2 from the diagonalized
-    fiber form.  If the standard pivot degenerates, the variables are
-    permuted (recorded in the result).  The diagonal and the basis
-    come back as polynomial RatFuncs."""
+    the generic fiber of a numeric bundle: a = -d0/d2, b = -d1/d2 from
+    the diagonalized fiber form, reduced fractions in t.  If the
+    standard pivot degenerates, the variables are permuted (recorded in
+    the result).  A parametric bundle raises BundleError."""
+    if cb.params:
+        raise BundleError("the diagonal model needs a numeric bundle; "
+                          "fix the parameters first")
     if cb.has_flag("degenerate-discriminant"):
         raise BundleError("generic fiber is degenerate (discriminant is zero)")
     q = generic_fiber_form(cb)
     al = q.alpha
     if not any(al[k] for k in (1, 2, 4)) and all(al[k] for k in (0, 3, 5)):
         # already diagonal: use the entries as they stand
-        one = MultiPoly.const(al[0].vars, 1)
-        zero = one - one
-        pivot = (0, 1, 2)
-        diag = DiagonalForm(entries=(al[0], al[3], al[5]),
-                            basis=((one, zero, zero), (zero, one, zero),
-                                   (zero, zero, one)))
+        pivot, (d0, d1, d2) = (0, 1, 2), (al[0], al[3], al[5])
     else:
         try:
             pivot, diag = diagonalize_pivoted(q)
         except DegeneratePivot as exc:
             raise DegeneratePivot(
                 "cannot diagonalize generically: %s" % exc) from None
-    d0, d1, d2 = diag.entries
-    return BrauerPair(
-        a=-RatFunc(d0, d2), b=-RatFunc(d1, d2), pivot=pivot,
-        diagonal=tuple(RatFunc(d) for d in diag.entries),
-        basis=tuple(tuple(RatFunc(c) for c in col) for col in diag.basis))
+        d0, d1, d2 = diag.entries
+    return BrauerPair(a=-RatFunc(d0, d2), b=-RatFunc(d1, d2), pivot=pivot)
 
 
 # -- degree-8 normal form for weights (4, 0, 0) -------------------------

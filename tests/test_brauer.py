@@ -94,7 +94,7 @@ def test_places_squarefree_support():
 
 
 def test_valuations():
-    r = rf("t^2 - 2*t + 1") / rf("t^3")  # (t-1)^2 / t^3
+    r = RatFunc(parse_poly("t^2 - 2*t + 1", T), parse_poly("t^3", T))
     at = lambda f: valuation(r, Place(f=f))
     assert at((Fraction(-1), Fraction(1))) == 2   # t - 1
     assert at((Fraction(0), Fraction(1))) == -3   # t
@@ -247,6 +247,47 @@ def test_certificate_search_stays_on_discriminant(monkeypatch):
             assert scanned[-1] == cert.place
 
 
+def test_certificate_search_certifies_only_places_on_delta(monkeypatch):
+    # weights (6,4,3): places of degree 12 and 20 lie off Delta beside
+    # the degree-26 place on it; only that one needs an irreducibility
+    # certificate on the search path, while the table certifies all
+    import conicbundles.brauer as brauer_mod
+    certified = []
+    real = brauer_mod.modp_irreducible_witness
+
+    def recording(f, *args, **kwargs):
+        certified.append(as_univariate(f, "t")[1])
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(brauer_mod, "modp_irreducible_witness", recording)
+    for seed in (1, 2):
+        cb = random_bundle((6, 4, 3), seed=seed)
+        _, delta = as_univariate(discriminant(cb).delta_affine, "t")
+        certified.clear()
+        cert = no_section_certificate(cb)
+        assert [len(f) - 1 for f in certified] == [26]
+        assert cert.place.f == tuple(certified[0])
+        assert len(ugcd_monic(delta, certified[0])) > 1
+        certified.clear()
+        table = places_of_pair(brauer_model(cb))
+        assert sorted(len(f) - 1 for f in certified) == [12, 20, 26]
+        assert [pl.degree for pl in table] == [12, 20, 26, 0]
+
+
+def test_certificate_rechecked_before_it_is_returned(monkeypatch):
+    # 2 = 3^2 mod 7, so a witness at 7 for the residue 1/2 at t is false
+    import conicbundles.brauer as brauer_mod
+    monkeypatch.setattr(
+        brauer_mod, "nonsquare_witness",
+        lambda rc, bound: PrimeWitness(p=7, root=None, note="bogus"))
+    cb = fixture("min844.cb")
+    with pytest.raises(AssertionError,
+                       match="re-check: place=t residue=1/2 prime=7"):
+        no_section_certificate(cb)
+    with pytest.raises(AssertionError, match="re-check"):
+        certificate_from_residues(cb, residues_all(brauer_model(cb)))
+
+
 def _split_400(roots, s11, s22):
     """Diagonal (4,0,0) bundle with sigma00 = prod (x0 - r x1)."""
     x0, x1 = (MultiPoly.variable(("x0", "x1"), v) for v in ("x0", "x1"))
@@ -372,12 +413,12 @@ def test_split_pairs_all_residues_trivial():
         lead = 0
         while not lead:
             lead = rng.randint(-5, 5)
-        a = rf(str(lead))
+        a = upoly([lead])
         for _ in range(3):
-            a = a * (rf("t") - rf(str(rng.randint(-4, 4))))
-        s = rf("t") - rf(str(rng.randint(-4, 4)))
+            a = a * upoly([-rng.randint(-4, 4), 1])
+        s = upoly([-rng.randint(-4, 4), 1])
         b = s * s
-        p = BrauerPair(a=a, b=b)
+        p = BrauerPair(a=RatFunc(a), b=RatFunc(b))
         for rc in residues_all(p):
             assert rc.provably_trivial(), (str(a), str(b), str(rc.place))
 

@@ -1,13 +1,19 @@
-"""Command-line contracts of the residue, diagonalization, Cremona-chain,
-dominance and Mestre normal-form commands."""
+"""Command-line contracts of the validate, discriminant, residue,
+diagonalization, Cremona-chain, dominance, conic-point and Mestre
+normal-form commands, and of the flags each command accepts."""
 
 import json
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
 
 from conicbundles.brauer import no_section_certificate
-from conicbundles.bundles import parse_bundle_text, validate_bundle
+from conicbundles.bundles import (
+    BundleError,
+    parse_bundle_text,
+    validate_bundle,
+)
 from conicbundles.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -15,6 +21,8 @@ from conicbundles.cli import (
     EXIT_OK,
     main,
 )
+from conicbundles.plane import ConicQ
+from conicbundles.quadforms import brauer_model
 
 
 def fixture_path(name):
@@ -33,6 +41,32 @@ def test_parametric_bundle_rejected_at_once(capsys):
         assert code == EXIT_INVALID
         assert payload["exit_code"] == EXIT_INVALID
         assert payload["error"].endswith("needs a numeric bundle")
+
+
+def assert_reruns_identical(capsys, argv, code):
+    """The command exits with `code` and prints the same bytes twice,
+    as JSON and as text."""
+    for run in (argv + ["--output", "json"], argv):
+        outs = []
+        for _ in range(2):
+            assert main(run) == code
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+
+
+def test_parametric_bundle_rejected_by_the_library(monkeypatch):
+    # the model needs a numeric bundle: BundleError before any gcd runs
+    import conicbundles.exactmath.ratfunc as ratfunc
+
+    def no_gcd(a, b):
+        raise AssertionError("a gcd ran on a parametric bundle")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
+    cb = validate_bundle(parse_bundle_text(
+        (files("conicbundles") / "fixtures" / "u12_template.cb").read_text()))
+    for fn in (brauer_model, no_section_certificate):
+        with pytest.raises(BundleError, match="numeric"):
+            fn(cb)
 
 
 def test_residues_certificate_matches_search(capsys):
@@ -217,3 +251,90 @@ def test_mestre_contract(capsys, tmp_path):
             main(argv)
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+
+VALIDATE_KEYS = {"command", "file", "weights", "multidegree", "shift",
+                 "params", "flags", "valid", "exit_code"}
+
+
+def test_validate_contract(capsys, tmp_path):
+    for name in ("min844.cb", "remark433222.cb", "u12_template.cb"):
+        path = fixture_path(name)
+        code, payload = run_json(capsys, ["validate", path])
+        assert code == EXIT_OK and payload["exit_code"] == EXIT_OK
+        assert set(payload) == VALIDATE_KEYS and payload["valid"]
+        assert_reruns_identical(capsys, ["validate", path], EXIT_OK)
+    assert payload["params"]  # the template is parametric
+    bad = tmp_path / "bad.cb"
+    bad.write_text("weights = 4 0 0\nsigma00 = x0^7\n")
+    code, payload = run_json(capsys, ["validate", str(bad)])
+    assert code == EXIT_INVALID and payload["exit_code"] == EXIT_INVALID
+    assert set(payload) == {"command", "error", "exit_code"}
+    assert_reruns_identical(capsys, ["validate", str(bad)], EXIT_INVALID)
+
+
+DISCRIMINANT_KEYS = {"command", "file", "degree", "expected_degree",
+                     "degree_drop", "delta", "delta_affine", "exit_code"}
+
+
+def test_discriminant_contract(capsys, tmp_path):
+    path = fixture_path("min844.cb")
+    code, payload = run_json(capsys, ["discriminant", path])
+    assert code == EXIT_OK and payload["exit_code"] == EXIT_OK
+    assert set(payload) == DISCRIMINANT_KEYS
+    assert payload["degree"] == payload["expected_degree"] == 8
+    assert not payload["degree_drop"]
+    assert_reruns_identical(capsys, ["discriminant", path], EXIT_OK)
+    zero = tmp_path / "zero.cb"
+    zero.write_text("weights = 4 0 0\nsigma00 = x0^8\nsigma01 = 0\n"
+                    "sigma02 = 0\nsigma11 = 0\nsigma12 = 0\nsigma22 = 0\n")
+    code, payload = run_json(capsys, ["discriminant", str(zero)])
+    assert code == EXIT_DEGENERATE and payload["exit_code"] == EXIT_DEGENERATE
+    assert "vanishes identically" in payload["error"]
+    assert_reruns_identical(capsys, ["discriminant", str(zero)],
+                            EXIT_DEGENERATE)
+
+
+CONIC_KEYS = {"command", "coeffs", "status", "point", "obstructions",
+              "height_bound", "note", "exit_code"}
+
+
+def test_conic_point_contract(capsys):
+    coeffs = "1,0,1,0,0,-1"
+    code, payload = run_json(capsys, ["conic-point", coeffs])
+    assert code == EXIT_OK and set(payload) == CONIC_KEYS
+    assert payload["status"] == "point"
+    conic = ConicQ(tuple(Fraction(c) for c in coeffs.split(",")))
+    assert conic.value([Fraction(x) for x in payload["point"]]) == 0
+    assert_reruns_identical(capsys, ["conic-point", coeffs], EXIT_OK)
+    # w0^2 + w1^2 + w2^2 has no real point, nor a 2-adic one
+    code, payload = run_json(capsys, ["conic-point", "1,0,1,0,0,1"])
+    assert code == EXIT_OK and payload["status"] == "obstructed"
+    assert payload["obstructions"] == ["inf", "2"]
+    assert payload["point"] is None
+    code, payload = run_json(capsys, ["conic-point", "1,0,1,0,0"])
+    assert code == EXIT_INVALID and "six" in payload["error"]
+    argv = ["conic-point", "--height-bound", "1", "1,0,1,0,0,-1000033"]
+    code, payload = run_json(capsys, argv)
+    assert code == EXIT_NO_CERTIFICATE and payload["status"] == "undecided"
+    assert payload["height_bound"] == 1
+    assert_reruns_identical(capsys, argv, EXIT_NO_CERTIFICATE)
+
+
+def test_each_flag_only_where_it_is_read(capsys):
+    min844 = fixture_path("min844.cb")
+    refused = (["validate", min844, "--seed", "1"],
+               ["residues", min844, "--seed", "1"],
+               ["residues", min844, "--height-bound", "9"],
+               ["conic-point", "--prime-bound", "9", "1,0,1,0,0,-1"],
+               ["dominance", "--locus", "U12", "--prime-bound", "9"],
+               ["cremona-chain", "--height-bound", "9"],
+               ["residues", min844, "--prime-bound", "0"],
+               ["conic-point", "--height-bound", "-1", "1,0,1,0,0,-1"])
+    for argv in refused:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID, argv
+        assert "error" in capsys.readouterr().err
+    assert main(["residues", min844, "--prime-bound", "7"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].endswith("prime=3 root=-")

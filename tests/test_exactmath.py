@@ -20,12 +20,8 @@ from conicbundles.exactmath import (
     mat_rank,
     nullspace,
     parse_poly,
-    poly_gcd,
-    rational_roots,
     roots_mod_p,
-    same_square_class,
     sqrt_rat,
-    square_class_rat,
     squarefree_part_int,
 )
 from conicbundles.exactmath.modular import (
@@ -156,22 +152,6 @@ def test_parser_fractions_and_errors():
         parse_poly("x + z", XY)
 
 
-def test_poly_gcd_divides_both():
-    rng = random.Random(23)
-    for _ in range(15):
-        g = rand_poly(rng, XY, deg=2)
-        a = rand_poly(rng, XY, deg=2)
-        b = rand_poly(rng, XY, deg=2)
-        if g.is_zero():
-            continue
-        d = poly_gcd(g * a, g * b)
-        if (g * a).is_zero() or (g * b).is_zero():
-            continue
-        assert d.divides(g * a)
-        assert d.divides(g * b)
-        assert g.primitive_normalized().divides(d) or g.is_constant()
-
-
 # -- rational functions -------------------------------------------------
 
 def test_ratfunc_normalization():
@@ -179,31 +159,14 @@ def test_ratfunc_normalization():
     one = MultiPoly.const(("t",), 1)
     r = RatFunc((t * t - one), (t - one))
     # common factor cancels
-    assert r == RatFunc(t + one)
-    assert r.is_polynomial()
-
-
-def test_ratfunc_field_axioms_random():
-    rng = random.Random(29)
-    t = ("t",)
-    for _ in range(25):
-        parts = [rand_poly(rng, t) for _ in range(4)]
-        if any(p.is_zero() for p in parts):
-            continue
-        a = RatFunc(parts[0], parts[1])
-        b = RatFunc(parts[2], parts[3])
-        assert (a / b) * b == a
-        assert a * b / (a * b) == RatFunc.from_const(t, 1)
-        assert (a + b) - b == a
-
-
-def test_ratfunc_evaluate():
-    t = MultiPoly.variable(("t",), "t")
-    one = MultiPoly.const(("t",), 1)
-    r = RatFunc(t + one, t - one)
-    assert r.evaluate({"t": Fraction(3)}) == 2
+    assert (r.num, r.den) == (t + one, one)
+    # the denominator becomes primitive with positive leading
+    # coefficient; its content moves into the numerator
+    r = RatFunc(t * 3, one - t * 2)
+    assert (r.num, r.den) == (-(t * 3), t * 2 - one)
+    assert str(r) == "-3*t/(2*t - 1)" and str(-r) == "3*t/(2*t - 1)"
     with pytest.raises(ZeroDivisionError):
-        r.evaluate({"t": Fraction(1)})
+        RatFunc(t, one - one)
 
 
 # -- jets ---------------------------------------------------------------
@@ -366,17 +329,6 @@ def test_square_detection():
     assert squarefree_part_int(72) == 2  # 72 = 36 * 2
 
 
-def test_square_class_representatives():
-    rng = random.Random(71)
-    for _ in range(40):
-        q = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        if not q:
-            continue
-        rep = square_class_rat(q)
-        assert same_square_class(rep, q)
-        assert is_square_rat(rep * q)
-
-
 # -- modular helpers -----------------------------------------------------
 
 def test_legendre_against_bruteforce():
@@ -425,5 +377,6 @@ def test_irreducibility_witness():
 def test_rational_roots_of_multipoly():
     p = parse_poly("2*t^3 - 3*t^2 - 3*t + 2", ("t",))
     # roots: -1, 2, 1/2
-    assert sorted(rational_roots(p)) == [Fraction(-1), Fraction(1, 2),
-                                         Fraction(2)]
+    _, coeffs = as_univariate(p, "t")
+    assert sorted(urational_roots(coeffs)) == [
+        Fraction(-1), Fraction(1, 2), Fraction(2)]

@@ -33,11 +33,11 @@ from conicbundles.families import (
     coefficient_vector,
     deformation_table,
     dominance_report,
+    first_violation,
     generic_bundle,
     group_columns,
     jacobian_rank_at_identity,
     locus,
-    locus_contains,
     locus_member,
     pullback,
     theorem_310_400_hypotheses,
@@ -49,6 +49,13 @@ ALL_WEIGHTS = ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
 
 def flat_names(w, diagonal=False):
     return tuple(n for blk in coefficient_names(w, diagonal) for n in blk)
+
+
+def on_locus(spec, cb):
+    """Exact membership of a numeric bundle: the weights, then every
+    relation of the table."""
+    return cb.weights.tuple == spec.weights and first_violation(
+        spec, bundle_coefficients(cb, spec.diagonal)) is None
 
 
 # -- namings ---------------------------------------------------------------
@@ -178,7 +185,7 @@ def test_locus_members_deterministic_and_admissible():
         cb2 = locus_member(spec, 0)
         assert cb1.sigma == cb2.sigma
         assert cb1.weights.tuple == spec.weights
-        assert locus_contains(spec, cb1)
+        assert on_locus(spec, cb1)
         # admissibility oracle: affine discriminant square-free of
         # degree 8
         _, cs = as_univariate(dehomogenize(discriminant_form(cb1)), "t")
@@ -189,9 +196,9 @@ def test_locus_contains_rejects():
     spec = locus("U_433222")
     off = dict.fromkeys(flat_names((2, 1, 1)), Fraction(0))
     off.update(a1=Fraction(1), b0=Fraction(1), h0=Fraction(1))
-    assert not locus_contains(spec, bundle_from_coefficients((2, 1, 1), off))
+    assert not on_locus(spec, bundle_from_coefficients((2, 1, 1), off))
     wrong_type = validate_bundle(random_bundle((2, 2, 0), 2))
-    assert not locus_contains(spec, wrong_type)
+    assert not on_locus(spec, wrong_type)
 
 
 def test_locus_tables_are_triangular():

@@ -25,7 +25,6 @@ from conicbundles.plane import (
     PlaneError,
     UnsupportedWeights,
     chain_U12,
-    conic_discriminant,
     conic_has_point,
     cremona_apply,
     cremona_from_points,
@@ -400,7 +399,7 @@ def test_conicq_order_and_value():
         ConicQ.from_curve(curve("w0 + w1"))
     with pytest.raises(ValueError):
         ConicQ((0, 0, 0, 0, 0, 0))
-    assert conic_discriminant(ConicQ((1, 0, 1, 0, 0, 1))) == 1
+    assert ConicQ((1, 0, 1, 0, 0, 1)).form().discriminant() == 1
 
 
 def test_hilbert_symbol_values():

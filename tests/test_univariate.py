@@ -248,27 +248,12 @@ def test_poly_gcd_one_variable_against_sympy():
         assert d.content() == 1 and d.leading_term_grlex()[1] > 0
 
 
-def test_poly_gcd_two_variables_against_sympy():
-    rng = random.Random(853)
-    xy = ("x", "y")
-
-    def rand_poly(deg):
-        terms = {(i, j): rng.randint(-5, 5)
-                 for i in range(deg + 1) for j in range(deg + 1 - i)
-                 if rng.random() < 0.6}
-        return MultiPoly(xy, terms)
-
-    checked = 0
-    for _ in range(30):
-        g, a, b = rand_poly(2), rand_poly(2), rand_poly(2)
-        if not (g * a) or not (g * b):
-            continue
-        d = poly_gcd(g * a, g * b)
-        want = sympy.gcd(_expr(g * a), _expr(g * b))
-        assert _same_up_to_constant(d, want), (g, a, b)
-        assert d.content() == 1 and d.leading_term_grlex()[1] > 0
-        checked += 1
-    assert checked > 20
+def test_poly_gcd_rejects_two_variables():
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    with pytest.raises(ValueError, match="one variable"):
+        poly_gcd(x * y + 1, x - 1)
+    with pytest.raises(ValueError, match="one variable"):
+        poly_gcd(x - 1, y - 1)
 
 
 def test_uresultant_against_sympy():
