@@ -28,16 +28,17 @@ from .exactmath import (
 )
 from .exactmath.modular import (
     PrimeWitness,
+    is_probable_prime,
+    pmod_deriv,
     pmod_eval,
     pmod_reduce_coeffs,
     primes_from,
     roots_mod_p,
+    squarefree_mod_p,
 )
 from .exactmath.univariate import (
     as_univariate,
-    is_square_rat as _sq,
     squarefree_part_int,
-    udiscriminant,
     udivmod,
     uexact_div,
     ugcd_monic,
@@ -145,7 +146,7 @@ class ResidueClass:
         a, b = self.value, Fraction(x)
         if not a or not b:
             return a == b
-        return _sq(a * b)
+        return is_square_rat(a * b)
 
 
 @dataclass(frozen=True)
@@ -230,17 +231,15 @@ def places_of_pair(pair: BrauerPair,
                 pool.append(fac)
     places = []
     for f in _coprime_basis(pool):
-        roots = urational_roots(f)
         cof = f
-        for r in roots:
+        for r in urational_roots(f):
             lin = (-r, Fraction(1))
             cof = uexact_div(cof, list(lin))
             if keep(lin):
                 places.append(Place(f=lin))
         cof = tuple(umonic(cof))
         if len(cof) - 1 >= 2 and keep(cof):
-            fpoly = MultiPoly.from_univariate(("t",), "t", cof)
-            w = modp_irreducible_witness(fpoly, bound=prime_bound)
+            w = modp_irreducible_witness(cof, bound=prime_bound)
             places.append(Place(
                 f=cof,
                 irreducibility="certified" if w else "assumed",
@@ -359,38 +358,41 @@ def nonsquare_witness(rc: ResidueClass,
         return _rational_witness(rc.value, bound)
     # deg f >= 2: the residue field is bigger than Q, so rational
     # non-squareness of a constant value proves nothing there; always
-    # argue through a root of f mod p (a degree-one prime of the field)
+    # argue through a simple root of f mod p (a degree-one prime of the
+    # field) at primes that divide no denominator and no discriminant
     f = list(rc.place.f)
     fint = uprimitive(f)
-    disc = udiscriminant(f)
     _, vcoeffs = as_univariate(rc.value, "t")
-    bad = abs(disc.numerator * disc.denominator) * fint[-1]
+    bad = fint[-1]
     for c in vcoeffs + f:
         bad *= c.denominator
     for p in primes_from(3):
         if p > bound:
             return None
-        if bad % p == 0:
+        if bad % p == 0 or not squarefree_mod_p(fint, p):
             continue
-        roots = roots_mod_p([c % p for c in fint], p)
+        roots = roots_mod_p(fint, p)
         if not roots:
             continue
         vint = pmod_reduce_coeffs(vcoeffs, p)
         for r in roots:
             val = pmod_eval(vint, r, p)
-            if val == 0:
-                continue
-            if legendre(val, p) == -1:
+            if val and legendre(val, p) == -1:
                 return PrimeWitness(p=p, root=r,
                                     note="value is a non-residue mod %d" % p)
     return None
 
 
 def verify_certificate(cert: NoSectionCertificate) -> bool:
-    """Recheck the Euler criterion and the good-reduction conditions."""
+    """Recheck the Euler criterion and the good-reduction conditions
+    without the search's code.  At a place of degree >= 2 the root r
+    must be a simple root of f mod p: by Dedekind's criterion (p, t - r)
+    is then a regular degree-one prime of Z[t]/(f)."""
     rc = cert.residue
     w = cert.witness
     p = w.p
+    if not is_probable_prime(p):
+        return False
     if rc.is_rational:
         q = rc.value
         m = q.numerator * q.denominator
@@ -398,20 +400,16 @@ def verify_certificate(cert: NoSectionCertificate) -> bool:
     # non-rational residue field: only a root of f mod p is probative
     if w.root is None:
         return False
-    f = list(rc.place.f)
-    disc = udiscriminant(f)
-    if (disc.numerator * disc.denominator) % p == 0:
-        return False
     try:
-        fint = pmod_reduce_coeffs(f, p)
+        fbar = pmod_reduce_coeffs(rc.place.f, p)
         _, vcoeffs = as_univariate(rc.value, "t")
         vint = pmod_reduce_coeffs(vcoeffs, p)
     except ZeroDivisionError:
         return False
-    if pmod_eval(fint, w.root, p) != 0:
+    if (pmod_eval(fbar, w.root, p) != 0
+            or pmod_eval(pmod_deriv(fbar, p), w.root, p) == 0):
         return False
-    val = pmod_eval(vint, w.root, p)
-    return val != 0 and legendre(val, p) == -1
+    return legendre(pmod_eval(vint, w.root, p), p) == -1
 
 
 # -- certificates -------------------------------------------------------

@@ -73,12 +73,14 @@ DEFAULT_HEIGHT_BOUND = 10**4
 
 
 class CommandFailure(Exception):
-    """Terminates a command with a specific exit code and message."""
+    """Terminates a command with a specific exit code and message;
+    `prog` names the parser when the command line itself was rejected."""
 
-    def __init__(self, code: int, message: str):
+    def __init__(self, code: int, message: str, prog: str = ""):
         super().__init__(message)
         self.code = code
         self.message = message
+        self.prog = prog
 
 
 def fixture_text(name: str) -> str:
@@ -542,9 +544,9 @@ def cmd_mestre(args):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; that slot is reserved for
-    # degenerate computations, so route usage errors to 1
+    # degenerate computations, so `main` reports usage errors with 1
     def error(self, message):
-        self.exit(EXIT_INVALID, "%s: error: %s\n" % (self.prog, message))
+        raise CommandFailure(EXIT_INVALID, message, self.prog)
 
 
 def _positive(text: str) -> int:
@@ -643,19 +645,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a rejected command line has no parsed --output: read it off argv
+    as_json = ("--output=json" in argv
+               or ("--output", "json") in set(zip(argv, argv[1:])))
+    command = argv[0] if argv and argv[0][:1] != "-" else None
     try:
+        args = build_parser().parse_args(argv)
+        as_json, command = args.output == "json", args.cmd
         code, payload, lines = args.fn(args)
     except CommandFailure as fail:
-        if args.output == "json":
-            print(json.dumps({"command": args.cmd, "error": fail.message,
+        if as_json:
+            print(json.dumps({"command": command, "error": fail.message,
                               "exit_code": fail.code}, indent=2))
         else:
-            print("error: %s" % fail.message, file=sys.stderr)
+            print("%serror: %s" % (fail.prog and fail.prog + ": ",
+                                   fail.message), file=sys.stderr)
         return fail.code
     payload["exit_code"] = code
-    if args.output == "json":
+    if as_json:
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))

@@ -13,7 +13,6 @@ from .modular import (
     is_probable_prime,
     legendre,
     modp_irreducible_witness,
-    multipoly_int_coeffs,
     next_prime,
     primes_from,
     roots_mod_p,
@@ -48,7 +47,6 @@ __all__ = [
     "mat_det",
     "mat_rank",
     "modp_irreducible_witness",
-    "multipoly_int_coeffs",
     "next_prime",
     "nullspace",
     "parse_poly",

@@ -1,7 +1,8 @@
 """Prime and finite-field routines: Baillie-PSW primality, Pollard
-rho factoring, Legendre symbols, and F_p[t] arithmetic (gcd, modular
+rho factoring, Legendre symbols, F_p[t] arithmetic (gcd, modular
 exponentiation, distinct-degree irreducibility test,
-Cantor-Zassenhaus root extraction).
+Cantor-Zassenhaus root extraction), the good-reduction test and the
+Hensel lift of a simple root from p to a power of p.
 
 F_p[t] polynomials are lists of ints in [0, p), low degree first, no
 trailing zeros.
@@ -12,9 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-
-from .multipoly import MultiPoly
+from math import gcd, isqrt, lcm
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -265,6 +264,33 @@ def pmod_eval(a, x: int, p: int) -> int:
     return acc
 
 
+def pmod_deriv(a, p):
+    return ptrim([i * a[i] % p for i in range(1, len(a))])
+
+
+def squarefree_mod_p(fint, p: int) -> bool:
+    """True iff the integer polynomial f keeps its degree mod p and is
+    square-free there.  For p not dividing the leading coefficient this
+    is exactly p not dividing disc(f), also when p <= deg f: a p-th
+    power has zero derivative mod p and counts as not square-free."""
+    f = ptrim([c % p for c in fint])
+    return (len(f) == len(fint)
+            and len(pmod_gcd(f, pmod_deriv(f, p), p)) == 1)
+
+
+def hensel_root(g, z: int, p: int, bound: int) -> int:
+    """The root of the integer polynomial g congruent to z mod p, taken
+    mod p^(2^j) by Newton steps until the modulus exceeds the bound and
+    returned as the symmetric residue.  z must be a simple root of g
+    mod p; an integer root x of g with |x| < bound/2 comes out as x."""
+    dg = [i * g[i] for i in range(1, len(g))]
+    m = p
+    while m <= bound:
+        m *= m
+        z = (z - pmod_eval(g, z, m) * pow(pmod_eval(dg, z, m), -1, m)) % m
+    return z - m if 2 * z > m else z
+
+
 def irreducible_mod_p(coeffs, p: int) -> bool:
     """Distinct-degree irreducibility for f in F_p[t]: any proper
     factor would have degree <= deg f / 2, so f of degree d >= 1 is
@@ -321,7 +347,7 @@ def roots_mod_p(coeffs, p: int, seed: int = 0):
     return sorted(roots)
 
 
-# -- witnesses on MultiPoly inputs ------------------------------------
+# -- witnesses ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class PrimeWitness:
@@ -332,27 +358,17 @@ class PrimeWitness:
     note: str = ""
 
 
-def multipoly_int_coeffs(poly: MultiPoly):
-    """Clear denominators of a univariate MultiPoly: integer list."""
-    from .univariate import as_univariate  # univariate imports factorize
-    _, coeffs = as_univariate(poly)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs]
-
-
-def modp_irreducible_witness(poly: MultiPoly, bound: int = 10**4):
-    """Smallest prime p <= bound with poly irreducible of full degree
-    mod p, or None.  Existence certifies irreducibility over Q."""
-    coeffs = multipoly_int_coeffs(poly)
+def modp_irreducible_witness(f, bound: int = 10**4):
+    """Smallest prime p <= bound with the rational coefficient list f
+    (low degree first) irreducible of full degree mod p, or None.
+    Existence certifies irreducibility over Q."""
+    den = lcm(*(Fraction(c).denominator for c in f))
+    coeffs = [int(c * den) for c in f]
     if len(coeffs) <= 1:
         return None
     lc = coeffs[-1]
     for p in primes_from(2):
         if p > bound:
             return None
-        if lc % p == 0:
-            continue
-        if irreducible_mod_p(coeffs, p):
+        if lc % p and irreducible_mod_p(coeffs, p):
             return PrimeWitness(p=p, note="irreducible mod %d" % p)

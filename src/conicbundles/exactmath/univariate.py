@@ -8,7 +8,9 @@ variable.
 Gcds are computed by Brown's dense modular algorithm on the primitive
 integer parts, modulo a fixed sequence of word-size primes, and a
 result is returned only once it divides both inputs exactly in Z[t];
-no Euclidean remainder sequence over Q is run.
+no Euclidean remainder sequence over Q is run.  Rational roots are
+Hensel-lifted from the roots modulo a prime of good reduction; no
+integer is factored to find them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
 
-from .modular import factorize, next_prime, pmod_gcd
+from .modular import (
+    factorize,
+    hensel_root,
+    next_prime,
+    pmod_gcd,
+    primes_from,
+    roots_mod_p,
+    squarefree_mod_p,
+)
 from .multipoly import MultiPoly
 
 
@@ -277,65 +287,34 @@ def yun_squarefree(a):
 
 
 def urational_roots(a):
-    """Sorted rational roots with multiplicity (repeated entries)."""
+    """Sorted rational roots with multiplicity (repeated entries), by
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): the rational roots
+    r of the square-free part sf are the integer roots c*r of the monic
+    g(x) = c^(n-1) sf(x/c), c = lc(sf), and each is a simple root mod
+    the first odd prime q of good reduction, lifted past twice Cauchy's
+    bound 1 + max |g_i| and divided out as often as it is a root."""
     a = utrim([Fraction(c) for c in a])
-    if len(a) <= 1:
-        return []
-    roots = []
-    # roots at zero
-    k = 0
-    while not a[k]:
-        k += 1
-    roots.extend([Fraction(0)] * k)
-    a = a[k:]
-    if len(a) > 1:
-        # a root num/den in lowest terms has num | a0 and den | an
-        p = uprimitive(a)
-        for num, den in _root_candidates(p):
-            if len(p) == 1:
-                break
-            while len(p) > 1 and _is_root(p, num, den):
-                roots.append(Fraction(num, den))
-                p = uprimitive(uexact_div(p, [-num, den]))
+    k = next((i for i, c in enumerate(a) if c), 0)
+    roots = [Fraction(0)] * k
+    p = uprimitive(a[k:])
+    if len(p) <= 1:
+        return roots
+    sf = uprimitive(uexact_div(p, ugcd_monic(p, uderiv(p))))
+    n, c = len(sf) - 1, sf[-1]
+    g = [sf[i] * c ** (n - 1 - i) for i in range(n)] + [1]
+    q = next(q for q in primes_from(3) if squarefree_mod_p(sf, q))
+    bound = 2 * (1 + max(abs(x) for x in g[:-1]))
+    for z in roots_mod_p(g, q):
+        r = Fraction(hensel_root(g, z, q, bound), c)
+        while len(p) > 1 and _is_root(p, r.numerator, r.denominator):
+            roots.append(r)
+            p = uprimitive(uexact_div(p, [-r.numerator, r.denominator]))
     return sorted(roots)
 
 
-def _divisors(n: int, cap: int):
-    """Positive divisors of n != 0 up to cap, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** i for d in out for i in range(e + 1)
-               if d * p ** i <= cap]
-    return sorted(out)
-
-
-def _root_candidates(p):
-    """(num, den) in lowest terms with num | p[0], 0 < den | p[-1] and
-    |num/den| within Fujiwara's bound 2 max |p[n-i] / p[n]|^(1/i),
-    rounded up to powers of two."""
-    n, an = len(p) - 1, abs(p[-1])
-    bound = 2 << max((-(-abs(p[n - i]) // an)).bit_length() // i + 1
-                     for i in range(1, n + 1))
-    dens = _divisors(an, an)
-    nums = _divisors(p[0], bound * an)
-    for den in dens:
-        for num in nums:
-            if num > bound * den:
-                break
-            if gcd(num, den) == 1:
-                yield num, den
-                yield -num, den
-
-
 def _is_root(p, num: int, den: int) -> bool:
-    """p(num/den) == 0 for an integer list p, decided in integers."""
-    # den*t - num divides p in Z[t] (Gauss), so (den - num) | p(1)
-    # and (den + num) | p(-1)
-    for d, x in ((den - num, 1), (den + num, -1)):
-        value = sum(c * x ** i for i, c in enumerate(p))
-        if (value % d if d else value) != 0:
-            return False
-    # homogeneous Horner: den^deg * p(num/den)
+    """p(num/den) == 0 for an integer list p, decided in integers by a
+    homogeneous Horner step: den^deg * p(num/den)."""
     acc, dpow = 0, 1
     for c in reversed(p):
         acc = acc * num + c * dpow

@@ -256,7 +256,7 @@ def test_certificate_search_certifies_only_places_on_delta(monkeypatch):
     real = brauer_mod.modp_irreducible_witness
 
     def recording(f, *args, **kwargs):
-        certified.append(as_univariate(f, "t")[1])
+        certified.append(list(f))
         return real(f, *args, **kwargs)
 
     monkeypatch.setattr(brauer_mod, "modp_irreducible_witness", recording)
@@ -445,3 +445,47 @@ def test_assumed_places_downgrade_to_warning():
     cert2 = no_section_certificate(cb)
     assert cert2.residue.place.irreducibility == "certified"
     assert cert2.warnings == ()
+
+
+def test_certificate_search_never_factors(monkeypatch):
+    # the search learns about each place modulo good primes only: no
+    # integer is factored and no Sylvester determinant is taken, so
+    # +-10^12 coefficients cost what small ones do
+    import conicbundles.exactmath as exactmath
+    import conicbundles.exactmath.linalg as linalg
+    import conicbundles.exactmath.modular as modular
+    import conicbundles.exactmath.univariate as univariate
+    bundles = [random_bundle(w, s, -10**12, 10**12)
+               for w in ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
+               for s in (1, 2)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate search left the mod-p path")
+
+    for module, name in ((modular, "factorize"), (univariate, "factorize"),
+                         (univariate, "uresultant"), (linalg, "mat_det"),
+                         (exactmath, "mat_det")):
+        monkeypatch.setattr(module, name, forbidden)
+    for cb in bundles:
+        cert = no_section_certificate(cb)
+        assert cert is not None and verify_certificate(cert)
+
+
+def test_verify_rejects_a_witness_at_a_double_root():
+    # t^2 + t + 1 = (t - 1)^2 mod 3 and 2 is a non-residue mod 3, but 3
+    # ramifies in Q[t]/(t^2 + t + 1): the value at 1 proves nothing
+    place = Place(f=(Fraction(1), Fraction(1), Fraction(1)),
+                  irreducibility="certified")
+    rc = ResidueClass(place=place, value=upoly([2]), v_a=1, v_b=0)
+    forged = NoSectionCertificate(place=place, residue=rc,
+                                  witness=PrimeWitness(p=3, root=1))
+    assert not verify_certificate(forged)
+    # the search skips 3 and finds a witness at a simple root
+    w = nonsquare_witness(rc, 100)
+    assert w.p != 3
+    assert verify_certificate(NoSectionCertificate(
+        place=place, residue=rc, witness=w))
+    # a root that is no root, and a composite modulus, are refused
+    for p, root in ((w.p, w.root + 1), (w.p * w.p, w.root)):
+        assert not verify_certificate(NoSectionCertificate(
+            place=place, residue=rc, witness=PrimeWitness(p=p, root=root)))

@@ -1,6 +1,7 @@
-"""Command-line contracts of the validate, discriminant, residue,
-diagonalization, Cremona-chain, dominance, conic-point and Mestre
-normal-form commands, and of the flags each command accepts."""
+"""Command-line contracts of all eleven commands (validate,
+discriminant, diagonalization, residues, enumerate, cohomology,
+dominance, Cremona chain, degenerate, conic-point and Mestre normal
+form), and of the flags each command accepts."""
 
 import json
 from fractions import Fraction
@@ -332,9 +333,78 @@ def test_each_flag_only_where_it_is_read(capsys):
                ["residues", min844, "--prime-bound", "0"],
                ["conic-point", "--height-bound", "-1", "1,0,1,0,0,-1"])
     for argv in refused:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_INVALID, argv
-        assert "error" in capsys.readouterr().err
+        # a rejected command line returns 1 instead of raising
+        assert main(argv) == EXIT_INVALID, argv
+        text = capsys.readouterr()
+        assert not text.out and text.err.startswith("conicbundles"), argv
+        for flag in (["--output", "json"], ["--output=json"]):
+            assert main(argv + flag) == EXIT_INVALID, argv
+            out = capsys.readouterr()
+            assert not out.err
+            payload = json.loads(out.out)
+            assert payload == {"command": argv[0], "error": payload["error"],
+                               "exit_code": EXIT_INVALID}
+            assert text.err.endswith(": error: %s\n" % payload["error"])
+    with pytest.raises(SystemExit) as exc:
+        main(["residues", "--help"])
+    assert exc.value.code == EXIT_OK and "--prime-bound" in \
+        capsys.readouterr().out
     assert main(["residues", min844, "--prime-bound", "7"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1].endswith("prime=3 root=-")
+
+
+ERROR_KEYS = {"command", "error", "exit_code"}
+ENUMERATE_KEYS = {"command", "d", "rows", "count", "series_count",
+                  "closed_form_count", "exit_code"}
+
+
+def test_enumerate_contract(capsys):
+    code, payload = run_json(capsys, ["enumerate", "--d", "8"])
+    assert code == EXIT_OK and set(payload) == ENUMERATE_KEYS
+    assert [r["weights"] for r in payload["rows"]] == [
+        [2, 1, 1], [2, 2, 0], [3, 1, 0], [4, 0, 0]]
+    assert payload["count"] == payload["series_count"] \
+        == payload["closed_form_count"] == 4
+    assert_reruns_identical(capsys, ["enumerate", "--d", "8"], EXIT_OK)
+    code, payload = run_json(capsys, ["enumerate", "--d", "-1"])
+    assert code == EXIT_INVALID and set(payload) == ERROR_KEYS
+    assert_reruns_identical(capsys, ["enumerate", "--d", "-1"], EXIT_INVALID)
+
+
+COHOMOLOGY_KEYS = {"command", "weights", "h1_end", "h0_normal",
+                   "h1_normal", "exit_code"}
+
+
+def test_cohomology_contract(capsys):
+    code, payload = run_json(capsys, ["cohomology", "--type", "2,1,1"])
+    assert code == EXIT_OK and set(payload) == COHOMOLOGY_KEYS
+    assert payload["weights"] == [2, 1, 1]
+    assert (payload["h1_end"], payload["h0_normal"],
+            payload["h1_normal"]) == (0, 21, 0)
+    assert_reruns_identical(capsys, ["cohomology", "--type", "2,1,1"],
+                            EXIT_OK)
+    code, payload = run_json(capsys, ["cohomology", "--type", "1,2"])
+    assert code == EXIT_INVALID and set(payload) == ERROR_KEYS
+    assert "three integers" in payload["error"]
+    assert_reruns_identical(capsys, ["cohomology", "--type", "1,2"],
+                            EXIT_INVALID)
+
+
+DEGENERATE_KEYS = {"command", "pair", "source", "target", "checks", "ok",
+                   "exit_code"}
+
+
+def test_degenerate_contract(capsys):
+    for pair in ("211->220", "220->310", "310->400"):
+        code, payload = run_json(capsys, ["degenerate", "--pair", pair])
+        assert code == EXIT_OK and set(payload) == DEGENERATE_KEYS
+        assert payload["pair"] == pair and payload["ok"]
+        assert all(set(c) == {"label", "ok", "detail"} and c["ok"]
+                   for c in payload["checks"])
+        assert_reruns_identical(capsys, ["degenerate", "--pair", pair],
+                                EXIT_OK)
+    argv = ["degenerate", "--pair", "400->211"]
+    code, payload = run_json(capsys, argv)
+    assert code == EXIT_INVALID and set(payload) == ERROR_KEYS
+    assert "unknown degeneration" in payload["error"]
+    assert_reruns_identical(capsys, argv, EXIT_INVALID)

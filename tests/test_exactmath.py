@@ -367,11 +367,15 @@ def test_primality_helpers():
 
 
 def test_irreducibility_witness():
-    t2_plus_1 = parse_poly("t^2 + 1", ("t",))
     assert irreducible_mod_p([1, 0, 1], 3)
     assert not irreducible_mod_p([1, 0, 1], 5)  # (t-2)(t+2) mod 5
-    w = modp_irreducible_witness(t2_plus_1, bound=100)
+    w = modp_irreducible_witness([Fraction(1), 0, Fraction(1)], bound=100)
     assert w is not None and w.p == 3
+    # (t^2 + 1)/2 + t/3 clears to 3t^2 + 2t + 3: reducible mod 2, of
+    # lower degree mod 3
+    w = modp_irreducible_witness(
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)], bound=100)
+    assert w is not None and w.p == 5
 
 
 def test_rational_roots_of_multipoly():

@@ -171,3 +171,33 @@ def test_rational_roots_random_against_sympy():
         scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         assert urational_roots([c * scale for c in out]) == \
             _roots_via_sympy(out)
+
+
+def test_rational_roots_of_large_height_against_sympy():
+    # numerators and denominators are products of two 20-digit primes,
+    # which rho cannot split: the roots must come from lifting alone
+    rng = random.Random(407)
+
+    def semiprime():
+        return int(sympy.nextprime(rng.randrange(10**19, 10**20))) \
+            * int(sympy.nextprime(rng.randrange(10**19, 10**20)))
+
+    for _ in range(3):
+        r1 = (rng.choice((-1, 1)) * semiprime(), semiprime())
+        r2 = (rng.choice((-1, 1)) * semiprime(), semiprime())
+        # a simple root, a double root and a double root at zero, times
+        # an irreducible cubic cofactor
+        factors = [r1, r2, r2, (0, 1), (0, 1)]
+        cubic = [rng.randint(-10**20, 10**20) for _ in range(3)]
+        cubic.append(semiprime())
+        assert sympy.Poly(list(reversed(cubic)),
+                          sympy.Symbol("t")).is_irreducible
+        coeffs = _coeffs_of_product(factors)
+        out = [Fraction(0)] * (len(coeffs) + 3)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(cubic):
+                out[i + j] += a * b
+        want = sorted([Fraction(0)] * 2 + [Fraction(*r1)]
+                      + [Fraction(*r2)] * 2)
+        assert urational_roots(out) == want
+        assert _roots_via_sympy(out) == want

@@ -9,7 +9,13 @@ import pytest
 
 from conicbundles.exactmath import MultiPoly, poly_gcd
 from conicbundles.exactmath import univariate
-from conicbundles.exactmath.modular import legendre, primes_from, roots_mod_p
+from conicbundles.exactmath.modular import (
+    hensel_root,
+    legendre,
+    primes_from,
+    roots_mod_p,
+    squarefree_mod_p,
+)
 from conicbundles.exactmath.univariate import (
     udiscriminant,
     udivmod,
@@ -320,3 +326,42 @@ def test_legendre_against_sympy():
                 a = p * rng.randint(-5, 5)
             want = sympy.jacobi_symbol(a % p, p)
             assert legendre(a, p) == want, (a, p)
+
+
+def test_squarefree_mod_p_is_good_reduction_against_sympy():
+    # p keeps f square-free of full degree exactly when p divides
+    # neither the leading coefficient nor the discriminant, also for
+    # p <= deg f and for p-th powers: t^3 - 2 = (t + 1)^3 mod 3,
+    # t^5 + 3 = (t + 3)^5 mod 5, t^2 + t + 1 = (t - 1)^2 mod 3
+    rng = random.Random(417)
+    polys = [[-2, 0, 0, 1], [3, 0, 0, 0, 0, 1], [1, 1, 1], [1, 0, 1]]
+    while len(polys) < 120:
+        deg = rng.randint(1, 10)
+        f = [rng.randint(-40, 40) for _ in range(deg)]
+        f.append(rng.choice((-1, 1)) * rng.randint(1, 60))
+        if deg <= 8 and rng.random() < 0.3:
+            g = [rng.randint(-3, 3), rng.randint(1, 3)]
+            f = [int(c) for c in umul(f, umul(g, g))]
+        polys.append(f)
+    for f in polys:
+        disc = int(sympy.discriminant(sympy.Poly(list(reversed(f)), T)))
+        for p in map(int, sympy.primerange(2, 100)):
+            want = f[-1] % p != 0 and disc % p != 0
+            assert squarefree_mod_p(f, p) == want, (f, p)
+
+
+def test_hensel_root_against_sympy():
+    rng = random.Random(418)
+    for _ in range(20):
+        # monic g with the integer root x, lifted from x mod p
+        x = rng.randint(-10**30, 10**30)
+        h = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 4))]
+        g = [int(c) for c in umul([-x, 1], h + [1])]
+        p = next(q for q in primes_from(3) if squarefree_mod_p(g, q))
+        assert hensel_root(g, x % p, p, 2 * abs(x) + 2) == x
+    # square roots of 2 mod 7^(2^j): 3^2 = 2 mod 7, and 7^8 > 10^6
+    for z0 in (3, 4):
+        z = hensel_root([-2, 0, 1], z0, 7, 10**6)
+        m = 7 ** 8
+        assert 2 * abs(z) < m and z % 7 == z0
+        assert z % m in sympy.ntheory.sqrt_mod(2, m, all_roots=True)
