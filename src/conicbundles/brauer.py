@@ -8,8 +8,11 @@ by a monic square-free polynomial f, the residue is the class of
     (-1)^(v(a) v(b)) * a^v(b) / b^v(a)
 
 in the residue ring Q[t]/(f); at infinity the same recipe runs after
-the substitution t -> 1/s at the place s = 0.  A nontrivial residue at
-any place proves the conic has no section over Q(t); triviality of
+the substitution t -> 1/s at the place s = 0, that is with f = s.
+Every residue is held the same way: as its coefficient tuple in
+Q[t]/(f), low degree first, of length below deg f; so at infinity and
+at linear places it is a single rational number.  A nontrivial residue
+at any place proves the conic has no section over Q(t); triviality of
 every residue proves nothing (one-sided test by design).
 """
 
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .bundles import BundleError, ConicBundle, discriminant
 from .exactmath import (
@@ -27,6 +32,7 @@ from .exactmath import (
     modp_irreducible_witness,
 )
 from .exactmath.modular import (
+    DEFAULT_PRIME_BOUND,
     PrimeWitness,
     is_probable_prime,
     pmod_deriv,
@@ -54,11 +60,14 @@ from .exactmath.univariate import (
 )
 from .quadforms import BrauerPair, brauer_model
 
-DEFAULT_PRIME_BOUND = 10**4
-
 
 class BrauerError(ValueError):
     pass
+
+
+def t_text(coeffs) -> str:
+    """A coefficient list in t, low degree first, as text."""
+    return str(MultiPoly.from_univariate(("t",), "t", coeffs))
 
 
 @dataclass(frozen=True)
@@ -84,69 +93,60 @@ class Place:
             return -self.f[0]
         return None
 
-    def poly(self) -> MultiPoly | None:
-        if self.f is None:
-            return None
-        return MultiPoly.from_univariate(("t",), "t", self.f)
-
     def sort_key(self):
         if self.f is None:
             return (2, 0, "")
         if self.degree == 1:
             return (0, self.root, "")
-        return (1, self.degree, str(self.poly()))
+        return (1, self.degree, str(self))
 
     def __str__(self):
         if self.f is None:
             return "inf"
-        return str(self.poly())
+        return t_text(self.f)
 
 
 @dataclass(frozen=True)
 class ResidueClass:
+    """The residue of a pair at one place.  `value` is a unit of
+    Q[t]/(f) (f = t at infinity) as its coefficient tuple, low degree
+    first, of length below deg f: one rational number at infinity and
+    at linear places."""
     place: Place
-    value: object  # Fraction, or MultiPoly in t for places of degree >= 2
+    value: tuple
     v_a: int
     v_b: int
 
     @property
     def is_rational(self) -> bool:
-        return isinstance(self.value, Fraction)
+        """The residue field is Q."""
+        return self.place.degree <= 1
 
-    def normalized(self):
-        """Representative with square factors stripped: for rational
-        values sign * sf(|num|) / sf(|den|); for polynomial values the
-        rational content is normalized the same way."""
-        if self.is_rational:
-            q = self.value
-            if not q:
-                return q
-            sign = -1 if q < 0 else 1
-            return Fraction(sign * squarefree_part_int(abs(q.numerator)),
-                            squarefree_part_int(q.denominator))
-        c = self.value.content()
-        if not c:
-            return self.value
-        cn = Fraction(squarefree_part_int(c.numerator),
-                      squarefree_part_int(c.denominator))
-        return self.value * (cn / c)
+    def normalized(self) -> tuple:
+        """Representative with square factors stripped from the rational
+        content: the value times sf(num c) / (sf(den c) c) for its
+        positive content c, sf the square-free part."""
+        return self._representative
+
+    @cached_property
+    def _representative(self) -> tuple:
+        # kept per residue: the table, the certificate line and the
+        # payload all print it, and stripping squares factors integers
+        c = Fraction(gcd(*(x.numerator for x in self.value)),
+                     lcm(*(x.denominator for x in self.value)))
+        scale = Fraction(squarefree_part_int(c.numerator),
+                         squarefree_part_int(c.denominator)) / c
+        return tuple(x * scale for x in self.value)
 
     def provably_trivial(self) -> bool:
         """True when the value is a rational square (squares stay
         squares in every residue field); False means unknown."""
-        if self.is_rational:
-            return is_square_rat(self.value)
-        if self.value.is_constant():
-            return is_square_rat(self.value.constant_value())
-        return False
+        return len(self.value) == 1 and is_square_rat(self.value[0])
 
     def same_rational_class(self, x) -> bool:
-        if not self.is_rational:
-            return False
-        a, b = self.value, Fraction(x)
-        if not a or not b:
-            return a == b
-        return is_square_rat(a * b)
+        x = Fraction(x)
+        return (self.is_rational and bool(x)
+                and is_square_rat(self.value[0] * x))
 
 
 @dataclass(frozen=True)
@@ -157,18 +157,11 @@ class NoSectionCertificate:
     warnings: tuple = ()
 
     def serialize(self) -> str:
-        res = self.residue.normalized()
         root = self.witness.root if self.witness.root is not None else "-"
         return "place=%s residue=%s prime=%d root=%s" % (
-            _compact(self.place), _compact_value(res), self.witness.p, root)
-
-
-def _compact(place: Place) -> str:
-    return str(place).replace(" ", "")
-
-
-def _compact_value(v) -> str:
-    return str(v).replace(" ", "")
+            str(self.place).replace(" ", ""),
+            t_text(self.residue.normalized()).replace(" ", ""),
+            self.witness.p, root)
 
 
 # -- places -------------------------------------------------------------
@@ -308,20 +301,13 @@ def residue2(pair: BrauerPair, place: Place) -> ResidueClass:
     b_parts = _ratfunc_parts(pair.b)
     if not a_parts[0] or not b_parts[0]:
         raise BrauerError("residues need nonzero a and b")
+    f = place.f
     if place.is_infinite:
         a_parts = _reverse_pair(*a_parts)
         b_parts = _reverse_pair(*b_parts)
-        f = [Fraction(0), Fraction(1)]
-        va, vb, value = _residue_value(a_parts, b_parts, f)
-        val = value[0] if value else Fraction(0)
-        return ResidueClass(place=place, value=val, v_a=va, v_b=vb)
-    f = list(place.f)
-    va, vb, value = _residue_value(a_parts, b_parts, f)
-    if place.degree == 1:
-        val = value[0] if value else Fraction(0)
-        return ResidueClass(place=place, value=val, v_a=va, v_b=vb)
-    poly = MultiPoly.from_univariate(("t",), "t", value)
-    return ResidueClass(place=place, value=poly, v_a=va, v_b=vb)
+        f = (Fraction(0), Fraction(1))
+    va, vb, value = _residue_value(a_parts, b_parts, list(f))
+    return ResidueClass(place=place, value=tuple(value), v_a=va, v_b=vb)
 
 
 def residues_all(pair: BrauerPair,
@@ -353,18 +339,14 @@ def nonsquare_witness(rc: ResidueClass,
     Values in Q[t]/(f): search primes where f has a root r and the
     value at r is a non-residue; returning None proves nothing."""
     if rc.is_rational:
-        if not rc.value:
-            return None
-        return _rational_witness(rc.value, bound)
+        return _rational_witness(rc.value[0], bound)
     # deg f >= 2: the residue field is bigger than Q, so rational
     # non-squareness of a constant value proves nothing there; always
     # argue through a simple root of f mod p (a degree-one prime of the
     # field) at primes that divide no denominator and no discriminant
-    f = list(rc.place.f)
-    fint = uprimitive(f)
-    _, vcoeffs = as_univariate(rc.value, "t")
+    fint = uprimitive(rc.place.f)
     bad = fint[-1]
-    for c in vcoeffs + f:
+    for c in rc.value + rc.place.f:
         bad *= c.denominator
     for p in primes_from(3):
         if p > bound:
@@ -374,7 +356,7 @@ def nonsquare_witness(rc: ResidueClass,
         roots = roots_mod_p(fint, p)
         if not roots:
             continue
-        vint = pmod_reduce_coeffs(vcoeffs, p)
+        vint = pmod_reduce_coeffs(rc.value, p)
         for r in roots:
             val = pmod_eval(vint, r, p)
             if val and legendre(val, p) == -1:
@@ -394,7 +376,7 @@ def verify_certificate(cert: NoSectionCertificate) -> bool:
     if not is_probable_prime(p):
         return False
     if rc.is_rational:
-        q = rc.value
+        q = rc.value[0]
         m = q.numerator * q.denominator
         return m % p != 0 and legendre(m, p) == -1
     # non-rational residue field: only a root of f mod p is probative
@@ -402,8 +384,7 @@ def verify_certificate(cert: NoSectionCertificate) -> bool:
         return False
     try:
         fbar = pmod_reduce_coeffs(rc.place.f, p)
-        _, vcoeffs = as_univariate(rc.value, "t")
-        vint = pmod_reduce_coeffs(vcoeffs, p)
+        vint = pmod_reduce_coeffs(rc.value, p)
     except ZeroDivisionError:
         return False
     if (pmod_eval(fbar, w.root, p) != 0

@@ -390,9 +390,12 @@ def bundle_to_text(cb: ConicBundle) -> str:
 
 # -- random members ----------------------------------------------------
 
+# draws a seeded sampler makes before it gives up
+MAX_DRAWS = 400
+
+
 def random_bundle(weights, seed: int, lo: int = -9, hi: int = 9,
-                  require_squarefree: bool = True,
-                  max_attempts: int = 400) -> ConicBundle:
+                  require_squarefree: bool = True) -> ConicBundle:
     """Seeded integer-coefficient member of the family of the given
     weights (m = 0), rejection-sampled until the affine discriminant
     has full degree and, when requested, is square-free."""
@@ -401,7 +404,7 @@ def random_bundle(weights, seed: int, lo: int = -9, hi: int = 9,
     a = w.tuple
     variables = ("x0", "x1")
     target = 2 * sum(a)
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAWS):
         sigma = []
         for (i, j) in PAIRS:
             d = a[i] + a[j]
@@ -421,4 +424,4 @@ def random_bundle(weights, seed: int, lo: int = -9, hi: int = 9,
         return validate_bundle(cb)
     raise RuntimeError(
         "no admissible member found for %s after %d attempts (seed %d)"
-        % (w, max_attempts, seed))
+        % (w, MAX_DRAWS, seed))

@@ -24,7 +24,12 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .brauer import certificate_from_residues, residues_all
+from .brauer import (
+    DEFAULT_PRIME_BOUND,
+    certificate_from_residues,
+    residues_all,
+    t_text,
+)
 from .bundles import (
     BundleError,
     Weights,
@@ -47,6 +52,7 @@ from .families import (
 )
 from .plane import (
     CHAIN_Q,
+    DEFAULT_HEIGHT_BOUND,
     ConicQ,
     PlaneError,
     chain_U12,
@@ -67,9 +73,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DEGENERATE = 2
 EXIT_NO_CERTIFICATE = 3
-
-DEFAULT_PRIME_BOUND = 10**4
-DEFAULT_HEIGHT_BOUND = 10**4
 
 
 class CommandFailure(Exception):
@@ -228,7 +231,7 @@ def cmd_residues(args):
     ]
     rows = []
     for rc in rcs:
-        value = rc.normalized()
+        value = t_text(rc.normalized())
         lines.append("place %s: v(a) = %d, v(b) = %d, residue %s%s" % (
             rc.place, rc.v_a, rc.v_b, value,
             " (trivial)" if rc.provably_trivial() else ""))
@@ -238,7 +241,7 @@ def cmd_residues(args):
             "irreducibility": rc.place.irreducibility,
             "v_a": rc.v_a,
             "v_b": rc.v_b,
-            "residue": str(value),
+            "residue": value,
             "trivial": rc.provably_trivial(),
         })
     payload = {
@@ -258,7 +261,7 @@ def cmd_residues(args):
         lines.append("warning: %s" % w)
     payload["certificate"] = {
         "place": str(cert.place),
-        "residue": str(cert.residue.normalized()),
+        "residue": t_text(cert.residue.normalized()),
         "prime": cert.witness.p,
         "root": cert.witness.root,
         "warnings": list(cert.warnings),
@@ -322,8 +325,6 @@ def cmd_dominance(args):
             raise CommandFailure(
                 EXIT_INVALID, "locus %s lives over weights (%d, %d, %d)" % (
                     (args.locus,) + spec.weights))
-    if args.seeds < 1:
-        raise CommandFailure(EXIT_INVALID, "--seeds must be positive")
     lines = ["locus %s  weights (%d, %d, %d)  dimension %d" % (
         (args.locus,) + spec.weights + (spec.dimension,))]
     reports = []
@@ -363,14 +364,18 @@ def cmd_dominance(args):
     return (EXIT_OK if all_ok else EXIT_DEGENERATE), payload, lines
 
 
-# chain sampling: draw the thirteen template parameters, force the
-# normal-form slice (c3 = -b3), and reject draws that collapse the
-# chain before it starts.
-def sample_chain_instantiation(template, seed, lo: int = -9, hi: int = 9,
-                               max_attempts: int = 200) -> dict:
+# chain sampling: draw the thirteen template parameters from
+# [-CHAIN_RANGE, CHAIN_RANGE], force the normal-form slice (c3 = -b3),
+# and reject draws that collapse the chain before it starts.
+CHAIN_RANGE = 9
+CHAIN_DRAWS = 200
+
+
+def sample_chain_instantiation(template, seed) -> dict:
     rng = random.Random("chain#%s" % seed)
-    for _ in range(max_attempts):
-        values = {p: Fraction(rng.randint(lo, hi)) for p in template.params}
+    for _ in range(CHAIN_DRAWS):
+        values = {p: Fraction(rng.randint(-CHAIN_RANGE, CHAIN_RANGE))
+                  for p in template.params}
         if "c3" in values and "b3" in values:
             values["c3"] = -values["b3"]
         delta = u12_delta(values)
@@ -381,7 +386,7 @@ def sample_chain_instantiation(template, seed, lo: int = -9, hi: int = 9,
         return values
     raise CommandFailure(EXIT_DEGENERATE,
                          "no admissible instantiation after %d draws"
-                         % max_attempts)
+                         % CHAIN_DRAWS)
 
 
 def cmd_cremona_chain(args):
@@ -611,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of %s" % ", ".join(DOMINANCE_PAIRS))
     p.add_argument("--type", metavar="a0,a1,a2",
                    help="weight triple (checked against the locus)")
-    p.add_argument("--seeds", type=int, default=5,
+    p.add_argument("--seeds", type=_positive, default=5,
                    help="number of consecutive seeds (default 5)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for sampling (default 0)")

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+# largest prime tried for irreducibility and non-square witnesses
+DEFAULT_PRIME_BOUND = 10**4
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -358,7 +361,7 @@ class PrimeWitness:
     note: str = ""
 
 
-def modp_irreducible_witness(f, bound: int = 10**4):
+def modp_irreducible_witness(f, bound: int = DEFAULT_PRIME_BOUND):
     """Smallest prime p <= bound with the rational coefficient list f
     (low degree first) irreducible of full degree mod p, or None.
     Existence certifies irreducibility over Q."""

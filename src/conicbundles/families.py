@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bundles import (
+    MAX_DRAWS,
     PAIRS,
     ConicBundle,
     Weights,
@@ -209,17 +210,6 @@ _B_SHAPES = {
 _ALPHA = ("alpha00", "alpha01", "alpha10", "alpha11")
 _ONES = frozenset(("alpha00", "alpha11", "beta00", "beta11",
                    "gamma11", "gamma22"))
-
-# Working chart on the group: the open set where the listed entries do
-# not vanish; the first two are normalized to 1, which is what brings
-# the coordinate counts to 11 / 13 / 17.
-_CHART_DESC = {
-    (2, 1, 1): "alpha00 != 0, beta00 != 0 (both set to 1); 11 coordinates",
-    (2, 2, 0): "alpha00 != 0, beta00 != 0 (both set to 1); 13 coordinates",
-    (4, 0, 0): "alpha00 != 0, beta00 != 0 (both set to 1), "
-               "gamma11 != 0; 17 coordinates",
-}
-
 
 def _aut_entry_names(w) -> tuple:
     shape = _B_SHAPES[w]
@@ -499,13 +489,13 @@ def first_violation(spec: LocusSpec, values: dict):
     return None
 
 
-def locus_member(spec: LocusSpec, seed, lo: int = -9, hi: int = 9,
-                 max_attempts: int = 400) -> ConicBundle:
+def locus_member(spec: LocusSpec, seed, lo: int = -9,
+                 hi: int = 9) -> ConicBundle:
     """Seeded integer member satisfying the relations exactly,
     rejection-sampled for a square-free affine discriminant of full
     degree 8."""
     rng = random.Random("%s#%s" % (spec.name, seed))
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAWS):
         draw = {nm: Fraction(rng.randint(lo, hi)) for nm in spec.free}
         try:
             values = spec.solve(draw)
@@ -519,7 +509,7 @@ def locus_member(spec: LocusSpec, seed, lo: int = -9, hi: int = 9,
         return validate_bundle(cb)
     raise FamiliesError(
         "no admissible member of %s after %d attempts (seed %s)"
-        % (spec.name, max_attempts, seed))
+        % (spec.name, MAX_DRAWS, seed))
 
 
 # -- first-order dominance ------------------------------------------------
@@ -529,7 +519,6 @@ class DominanceReport:
     locus: str
     weights: tuple
     seed: object
-    chart: str
     chart_size: int
     locus_dims: int
     normal_index: int
@@ -599,16 +588,16 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
     rank = mat_rank(rows)
     return DominanceReport(
         locus=spec.name, weights=spec.weights, seed=seed,
-        chart=_CHART_DESC[spec.weights], chart_size=len(chart),
+        chart_size=len(chart),
         locus_dims=spec.dimension, normal_index=n, fallback=fallback,
         rank=rank, expected=len(f0) - 1)
 
 
-def dominance_report(locus_name: str, seed, group_coords=None,
-                     lo: int = -9, hi: int = 9) -> DominanceReport:
+def dominance_report(locus_name: str, seed,
+                     group_coords=None) -> DominanceReport:
     """Sample a locus member at the given seed and run the rank check."""
     spec = locus(locus_name)
-    cb = locus_member(spec, seed, lo=lo, hi=hi)
+    cb = locus_member(spec, seed)
     return jacobian_rank_at_identity(spec, cb, seed=seed,
                                      group_coords=group_coords)
 
@@ -683,14 +672,22 @@ _F211_P9 = ("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
 _G220_P9 = ("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
             "x0^3*y1", "x0^2*x1*y1", "x0*x1^2*y1", "x1^3*y1",
             "x0*y2", "x1*y2")
-_F211_P6 = ("x0^2*y0", "x0*x1*y0", "x1^2*y0",
-            "x0*y1", "x1*y1", "x0*y2", "x1*y2")
-_G220_P6 = ("x0^2*y0", "x0*x1*y0", "x1^2*y0",
-            "x0^2*y1", "x0*x1*y1", "x1^2*y1", "y2")
-_G310_P6 = ("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
-            "x0*y1", "x1*y1", "y2")
-_G400_P6 = ("x0^4*y0", "x0^3*x1*y0", "x0^2*x1^2*y0", "x0*x1^3*y0",
-            "x1^4*y0", "y1", "y2")
+# The P^6 map of each weight type, with the two index rows whose 2x2
+# minors vanish on its image.
+_P6_MAPS = {
+    (2, 1, 1): (("x0^2*y0", "x0*x1*y0", "x1^2*y0",
+                 "x0*y1", "x1*y1", "x0*y2", "x1*y2"),
+                ((0, 1, 3, 5), (1, 2, 4, 6))),
+    (2, 2, 0): (("x0^2*y0", "x0*x1*y0", "x1^2*y0",
+                 "x0^2*y1", "x0*x1*y1", "x1^2*y1", "y2"),
+                ((0, 1, 3, 4), (1, 2, 4, 5))),
+    (3, 1, 0): (("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
+                 "x0*y1", "x1*y1", "y2"),
+                ((0, 1, 2, 4), (1, 2, 3, 5))),
+    (4, 0, 0): (("x0^4*y0", "x0^3*x1*y0", "x0^2*x1^2*y0", "x0*x1^3*y0",
+                 "x1^4*y0", "y1", "y2"),
+                ((0, 1, 2, 3), (1, 2, 3, 4))),
+}
 
 _Q_TERMS_211 = (
     ("a0", 0, 0), ("a1", 0, 1), ("a2", 1, 1), ("a3", 1, 2), ("a4", 2, 2),
@@ -816,6 +813,16 @@ def _composition_check(checks, label, lhs, rhs, factor):
     checks.append(DegenerationCheck(label, ok_all, detail))
 
 
+# pair: (source weights, target weights, the ambient quadric in the
+# coordinates of the source's P^6, the expected specialized dictionary)
+DEGENERATIONS = {
+    "211->220": ((2, 1, 1), (2, 2, 0), _Q_TERMS_211, _DICT_211_220),
+    "220->310": ((2, 2, 0), (3, 1, 0), _Q_TERMS_220, _DICT_220_310),
+    "310->400": ((3, 1, 0), (4, 0, 0), _Q_TERMS_310, _DICT_310_400),
+}
+DEGENERATION_PAIRS = tuple(DEGENERATIONS)
+
+
 def verify_degeneration(pair: str) -> DegenerationReport:
     """Symbolic verification of one splitting-type degeneration: the
     relative-projection compositions (first pair only), the rank-one
@@ -823,26 +830,32 @@ def verify_degeneration(pair: str) -> DegenerationReport:
     coefficient dictionary, and the specialized multidegree.  Every
     check is an exact polynomial identity."""
     key = pair.replace(" ", "").replace("→", "->")
-    if key == "211->220":
-        return _degeneration_211_220()
-    if key == "220->310":
-        return _degeneration_220_310()
-    if key == "310->400":
-        return _degeneration_310_400()
-    raise FamiliesError(
-        "unknown degeneration %r (choose from 211->220, 220->310, "
-        "310->400)" % (pair,))
-
-
-def _degeneration_211_220() -> DegenerationReport:
-    names = _flat(_SECTION_NAMES[(2, 1, 1)])
-    ring = V5 + names
-    F = [parse_poly(s, ring) for s in _F211_P9]
-    G = [parse_poly(s, ring) for s in _G220_P9]
-    f = [parse_poly(s, ring) for s in _F211_P6]
-    g = [parse_poly(s, ring) for s in _G220_P6]
-    x1 = MultiPoly.variable(ring, "x1")
+    if key not in DEGENERATIONS:
+        raise FamiliesError("unknown degeneration %r (choose from %s)"
+                            % (pair, ", ".join(DEGENERATIONS)))
+    source, target, quadric, expected = DEGENERATIONS[key]
+    ring = V5 + _flat(_SECTION_NAMES[source])
+    (f_text, f_rows), (g_text, g_rows) = _P6_MAPS[source], _P6_MAPS[target]
+    f = [parse_poly(m, ring) for m in f_text]
+    g = [parse_poly(m, ring) for m in g_text]
     checks = []
+    if key == "211->220":
+        _big_embedding_checks(checks, ring, f, g)
+    _minor_check(checks, "rank-one rows on the source map", f, f_rows)
+    _minor_check(checks, "rank-one rows on the target map", g, g_rows)
+    _source_family_check(checks, _quadric_pullback(quadric, f, ring), source)
+    _dictionary_checks(checks, _quadric_pullback(quadric, g, ring),
+                       expected, target)
+    return DegenerationReport(pair=key, source=source, target=target,
+                              checks=tuple(checks))
+
+
+def _big_embedding_checks(checks, ring, f, g):
+    """211->220 only: both P^6 maps are relative projections of P^9
+    embeddings, which are rank-one determinantal too."""
+    F = [parse_poly(m, ring) for m in _F211_P9]
+    G = [parse_poly(m, ring) for m in _G220_P9]
+    x1 = MultiPoly.variable(ring, "x1")
     _composition_check(checks,
                        "projection of the big source embedding recovers "
                        "the source map (factor x1)",
@@ -855,55 +868,6 @@ def _degeneration_211_220() -> DegenerationReport:
                  F, ((0, 1, 2, 4, 5, 7, 8), (1, 2, 3, 5, 6, 8, 9)))
     _minor_check(checks, "rank-one rows on the target embedding (big)",
                  G, ((0, 1, 2, 4, 5, 6, 8), (1, 2, 3, 5, 6, 7, 9)))
-    _minor_check(checks, "rank-one rows on the source map",
-                 f, ((0, 1, 3, 5), (1, 2, 4, 6)))
-    _minor_check(checks, "rank-one rows on the target map",
-                 g, ((0, 1, 3, 4), (1, 2, 4, 5)))
-    _source_family_check(checks, _quadric_pullback(_Q_TERMS_211, f, ring),
-                         (2, 1, 1))
-    _dictionary_checks(checks, _quadric_pullback(_Q_TERMS_211, g, ring),
-                       _DICT_211_220, (2, 2, 0))
-    return DegenerationReport(pair="211->220", source=(2, 1, 1),
-                              target=(2, 2, 0), checks=tuple(checks))
-
-
-def _degeneration_220_310() -> DegenerationReport:
-    names = _flat(_SECTION_NAMES[(2, 2, 0)])
-    ring = V5 + names
-    f = [parse_poly(s, ring) for s in _G220_P6]
-    g = [parse_poly(s, ring) for s in _G310_P6]
-    checks = []
-    _minor_check(checks, "rank-one rows on the source map",
-                 f, ((0, 1, 3, 4), (1, 2, 4, 5)))
-    _minor_check(checks, "rank-one rows on the target map",
-                 g, ((0, 1, 2, 4), (1, 2, 3, 5)))
-    _source_family_check(checks, _quadric_pullback(_Q_TERMS_220, f, ring),
-                         (2, 2, 0))
-    _dictionary_checks(checks, _quadric_pullback(_Q_TERMS_220, g, ring),
-                       _DICT_220_310, (3, 1, 0))
-    return DegenerationReport(pair="220->310", source=(2, 2, 0),
-                              target=(3, 1, 0), checks=tuple(checks))
-
-
-def _degeneration_310_400() -> DegenerationReport:
-    names = _flat(_SECTION_NAMES[(3, 1, 0)])
-    ring = V5 + names
-    f = [parse_poly(s, ring) for s in _G310_P6]
-    g = [parse_poly(s, ring) for s in _G400_P6]
-    checks = []
-    _minor_check(checks, "rank-one rows on the source map",
-                 f, ((0, 1, 2, 4), (1, 2, 3, 5)))
-    _minor_check(checks, "rank-one rows on the target map",
-                 g, ((0, 1, 2, 3), (1, 2, 3, 4)))
-    _source_family_check(checks, _quadric_pullback(_Q_TERMS_310, f, ring),
-                         (3, 1, 0))
-    _dictionary_checks(checks, _quadric_pullback(_Q_TERMS_310, g, ring),
-                       _DICT_310_400, (4, 0, 0))
-    return DegenerationReport(pair="310->400", source=(3, 1, 0),
-                              target=(4, 0, 0), checks=tuple(checks))
-
-
-DEGENERATION_PAIRS = ("211->220", "220->310", "310->400")
 
 
 # -- hypotheses of the final specialization step ---------------------------

@@ -598,6 +598,10 @@ def _relevant_places(values):
     return ["inf"] + sorted(primes)
 
 
+# largest coordinate tried in point searches
+DEFAULT_HEIGHT_BOUND = 10**4
+
+
 @dataclass(frozen=True)
 class ConicPointResult:
     status: str  # "point" | "obstructed" | "undecided"
@@ -642,7 +646,8 @@ def _conic_point_search(c: ConicQ, height: int):
     return None
 
 
-def conic_has_point(c: ConicQ, height: int = 10**4) -> ConicPointResult:
+def conic_has_point(c: ConicQ,
+                    height: int = DEFAULT_HEIGHT_BOUND) -> ConicPointResult:
     """Decide solvability of a rational conic: degenerate conics give
     a point on their singular locus, nondegenerate ones go through
     local Hilbert-symbol tests and then a height-bounded search."""

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .bundles import BundleError, ConicBundle, dehomogenize
+from .bundles import (
+    BundleError,
+    ConicBundle,
+    dehomogenize,
+    discriminant_form,
+)
 from .exactmath import MultiPoly, RatFunc, is_square_rat, sqrt_rat
 from .exactmath.univariate import as_univariate
 
@@ -225,43 +230,24 @@ class MestreFailure:
     B: Fraction
 
 
-def _scalar_field_coeffs(cb: ConicBundle):
-    """Sigma data of a numeric (4,0,0) bundle as Fractions, each form
-    padded to its nine t-coefficients."""
-    if cb.weights.tuple != (4, 0, 0):
-        raise MestreError("normal form needs weights (4,0,0), got %s"
-                          % cb.weights)
-    out = []
-    for s in cb.sigma:
-        _, cs = as_univariate(dehomogenize(s), "t")
-        out.append(cs + [Fraction(0)] * (9 - len(cs)))
-    return out
-
-
 def mestre_core(cb: ConicBundle):
     """The normal-form pipeline: P = -4*delta/sigma22, its leading
     coefficient B and next coefficient A, and the recentred polynomial
     R(u) = P(-A/(8B) - u)."""
-    s00, s01, s02, s11, s12, s22 = _scalar_field_coeffs(cb)
-    c2 = s22[0]
+    if cb.weights.tuple != (4, 0, 0):
+        raise MestreError("normal form needs weights (4,0,0), got %s"
+                          % cb.weights)
+    # sigma11, sigma12 and sigma22 are constants for weights (4,0,0)
+    c0, c1, c2 = (cb.s(i, j).constant_value()
+                  for i, j in ((1, 1), (1, 2), (2, 2)))
     if not c2:
         raise MestreError("degenerate pivot: sigma22 = 0")
-    disc0 = s12[0] * s12[0] - s11[0] * s22[0] * 4
+    disc0 = c1 * c1 - c0 * c2 * 4
     if not disc0:
         raise MestreError(
             "degenerate pivot: sigma12^2 - 4*sigma11*sigma22 = 0")
-    # delta coefficients in t, degree 8; sigma11/12/22 are constants
-    c0, c1 = s11[0], s12[0]
-    delta = [None] * 9
-    for k in range(9):
-        acc = s00[k] * (c0 * c2 - c1 * c1 * QUARTER)
-        for i in range(k + 1):
-            j = k - i
-            if i <= 8 and j <= 8:
-                acc = acc + (s01[i] * s02[j] * c1 * QUARTER
-                             - s01[i] * s01[j] * c2 * QUARTER
-                             - s02[i] * s02[j] * c0 * QUARTER)
-        delta[k] = acc
+    _, delta = as_univariate(dehomogenize(discriminant_form(cb)), "t")
+    delta = delta + [Fraction(0)] * (9 - len(delta))
     p_low = [d * (-4) / c2 for d in delta]
     B = p_low[8]
     A = p_low[7]

@@ -52,6 +52,11 @@ def upoly(coeffs):
     return MultiPoly.from_univariate(T, "t", [Fraction(c) for c in coeffs])
 
 
+def residue_value(*coeffs):
+    """A residue value: coefficients in Q[t]/(f), low degree first."""
+    return tuple(Fraction(c) for c in coeffs)
+
+
 def fixture(name):
     from importlib.resources import files
     text = (files("conicbundles") / "fixtures" / name).read_text()
@@ -112,19 +117,21 @@ def test_residue_uniformizer_against_constant():
     p = pair("t", "2")
     at_t = residue2(p, Place(f=(Fraction(0), Fraction(1))))
     assert (at_t.v_a, at_t.v_b) == (1, 0)
-    assert at_t.value == Fraction(1, 2)
+    assert at_t.value == residue_value(Fraction(1, 2))
+    assert at_t.is_rational
     at_inf = residue2(p, Place(f=None))
     assert (at_inf.v_a, at_inf.v_b) == (-1, 0)
-    assert at_inf.value == 2
+    assert at_inf.value == residue_value(2)
+    assert at_inf.is_rational
 
 
 def test_residue_sign_rule():
     # (t, t): v_a = v_b = 1 at t, so the symbol is -1
     p = pair("t", "t")
     at_t = residue2(p, Place(f=(Fraction(0), Fraction(1))))
-    assert at_t.value == -1
+    assert at_t.value == residue_value(-1)
     at_inf = residue2(p, Place(f=None))
-    assert at_inf.value == -1
+    assert at_inf.value == residue_value(-1)
     assert not at_t.provably_trivial()
     w = nonsquare_witness(at_t)
     assert w is not None and w.p == 3
@@ -134,14 +141,14 @@ def test_residue_off_support_is_trivial():
     p = pair("t", "2")
     rc = residue2(p, Place(f=(Fraction(-1), Fraction(1))))
     assert (rc.v_a, rc.v_b) == (0, 0)
-    assert rc.value == 1 and rc.provably_trivial()
+    assert rc.value == residue_value(1) and rc.provably_trivial()
 
 
 def test_residue_even_valuations_square():
     # (t^2, 3) at t: a^0 / b^2 = 1/9, a square
     p = pair("t^2", "3")
     rc = residue2(p, Place(f=(Fraction(0), Fraction(1))))
-    assert rc.value == Fraction(1, 9)
+    assert rc.value == residue_value(Fraction(1, 9))
     assert rc.provably_trivial()
 
 
@@ -153,12 +160,12 @@ def test_residue_at_quadratic_place():
     rc = residue2(p, quad)
     assert (rc.v_a, rc.v_b) == (1, 0)
     assert not rc.is_rational
-    assert rc.value == upoly([0, -1])
+    assert rc.value == residue_value(0, -1)
     # spec example family: class of t in Q[t]/(t^2-2) has witness (7, 3)
     rc2 = ResidueClass(
         place=Place(f=(Fraction(-2), Fraction(0), Fraction(1)),
                     irreducibility="certified"),
-        value=upoly([0, 1]), v_a=1, v_b=0)
+        value=residue_value(0, 1), v_a=1, v_b=0)
     w = nonsquare_witness(rc2)
     assert (w.p, w.root) == (7, 3)
 
@@ -181,17 +188,26 @@ def test_residue_rejects_zero_inputs():
 
 def test_normalized_strips_squares():
     pl = Place(f=(Fraction(0), Fraction(1)))
-    rc = ResidueClass(place=pl, value=Fraction(-18, 49), v_a=1, v_b=0)
-    assert rc.normalized() == Fraction(-2)
+    rc = ResidueClass(place=pl, value=residue_value(Fraction(-18, 49)),
+                      v_a=1, v_b=0)
+    assert rc.normalized() == residue_value(-2)
     assert rc.same_rational_class(-2)
     assert rc.same_rational_class(Fraction(-1, 2))
     assert not rc.same_rational_class(2)
+    # in Q[t]/(t^2+1) the content 18/49 of -18/49 + 36/49 t goes to 2
+    quad = Place(f=(Fraction(1), Fraction(0), Fraction(1)),
+                 irreducibility="certified")
+    rc = ResidueClass(place=quad,
+                      value=residue_value(Fraction(-18, 49), Fraction(36, 49)),
+                      v_a=1, v_b=0)
+    assert rc.normalized() == residue_value(-2, 4)
+    assert not rc.same_rational_class(-2)
 
 
 def test_witness_none_for_squares():
     pl = Place(f=(Fraction(0), Fraction(1)))
-    assert nonsquare_witness(
-        ResidueClass(place=pl, value=Fraction(9, 4), v_a=1, v_b=0)) is None
+    assert nonsquare_witness(ResidueClass(
+        place=pl, value=residue_value(Fraction(9, 4)), v_a=1, v_b=0)) is None
 
 
 # -- certificates ---------------------------------------------------------
@@ -370,7 +386,7 @@ def test_split_quadratic_place_no_false_certificate():
         ("x0^2*x1^2 + x1^4", "0", "0", "x0^2 + x1^2", "0", "-x1^2")))
     bp = brauer_model(cb)
     rcs = {str(rc.place): rc for rc in residues_all(bp)}
-    assert rcs["t^2 + 1"].value == upoly([-1])
+    assert rcs["t^2 + 1"].value == residue_value(-1)
     assert nonsquare_witness(rcs["t^2 + 1"]) is None
     assert no_section_certificate(cb) is None
     # a fabricated rootless witness at that place must fail verification
@@ -385,7 +401,7 @@ def test_constant_nonsquare_at_quadratic_place_certified():
     # of t^2+1 mod p, hence p = 1 mod 4
     pl = Place(f=(Fraction(1), Fraction(0), Fraction(1)),
                irreducibility="certified")
-    rc = ResidueClass(place=pl, value=upoly([2]), v_a=1, v_b=0)
+    rc = ResidueClass(place=pl, value=residue_value(2), v_a=1, v_b=0)
     w = nonsquare_witness(rc)
     assert w is not None and w.p % 4 == 1 and w.root is not None
     cert = NoSectionCertificate(place=pl, residue=rc, witness=w)
@@ -476,7 +492,7 @@ def test_verify_rejects_a_witness_at_a_double_root():
     # ramifies in Q[t]/(t^2 + t + 1): the value at 1 proves nothing
     place = Place(f=(Fraction(1), Fraction(1), Fraction(1)),
                   irreducibility="certified")
-    rc = ResidueClass(place=place, value=upoly([2]), v_a=1, v_b=0)
+    rc = ResidueClass(place=place, value=residue_value(2), v_a=1, v_b=0)
     forged = NoSectionCertificate(place=place, residue=rc,
                                   witness=PrimeWitness(p=3, root=1))
     assert not verify_certificate(forged)

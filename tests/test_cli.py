@@ -9,7 +9,7 @@ from importlib.resources import files
 
 import pytest
 
-from conicbundles.brauer import no_section_certificate
+from conicbundles.brauer import no_section_certificate, t_text
 from conicbundles.bundles import (
     BundleError,
     parse_bundle_text,
@@ -79,7 +79,7 @@ def test_residues_certificate_matches_search(capsys):
         cert = no_section_certificate(validate_bundle(parse_bundle_text(text)))
         assert payload["certificate"] == {
             "place": str(cert.place),
-            "residue": str(cert.residue.normalized()),
+            "residue": t_text(cert.residue.normalized()),
             "prime": cert.witness.p,
             "root": cert.witness.root,
             "warnings": list(cert.warnings),
@@ -91,6 +91,68 @@ def test_residues_certificate_matches_search(capsys):
         assert main(["residues", path]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "certificate: %s" % cert.serialize()
+
+
+# captured before residues became coefficient tuples: linear places,
+# places of degree 5 and 8, and infinity
+RESIDUES_TEXT = {
+    "min844.cb": [
+        "a = t^8 - 28*t^7 + 322*t^6 - 1960*t^5 + 6769*t^4 - 13132*t^3"
+        " + 13068*t^2 - 5040*t",
+        "b = 2",
+        "pivot: (0, 1, 2)",
+    ] + ["place %s: v(a) = 1, v(b) = 0, residue 1/2" % p
+         for p in ("t", "t - 1", "t - 2", "t - 3", "t - 4", "t - 5",
+                   "t - 6", "t - 7")] + [
+        "place inf: v(a) = -8, v(b) = 0, residue 1 (trivial)",
+        "certificate: place=t residue=1/2 prime=3 root=-",
+    ],
+    "remark433222.cb": [
+        "a = -t^2/(3*t^14 - 5*t^13 - 6*t^12 - 10*t^11 - 29*t^10 + 27*t^9"
+        " + 16*t^8 + 22*t^6 - 85*t^5 - 43*t^4 + 38*t^3 - t + 1)",
+        "b = t^2/(3*t^8 + t^7 - t^6 + t^5 - 9*t^4 + 5*t^3 + 11*t^2 - 3*t"
+        " + 1)",
+        "pivot: (0, 1, 2)",
+        "place t + 1: v(a) = -1, v(b) = 0, residue 1 (trivial)",
+        "place t: v(a) = 2, v(b) = 2, residue 1 (trivial)",
+        "place t^5 - 3*t^4 + 2*t^3 - 6*t^2 + t + 1: v(a) = -1, v(b) = 0,"
+        " residue -454290*t^4 + 1144434*t^3 + 190555*t^2 + 918082*t"
+        " + 781684",
+        "place t^8 + 1/3*t^7 - 1/3*t^6 + 1/3*t^5 - 3*t^4 + 5/3*t^3"
+        " + 11/3*t^2 - t + 1/3: v(a) = -1, v(b) = -1, residue t^6"
+        " - 2*t^5 - t^4 - 4*t^3 - 5*t^2 + 2*t + 1",
+        "place inf: v(a) = 12, v(b) = 6, residue 1 (trivial)",
+        "certificate: place=t^8+1/3*t^7-1/3*t^6+1/3*t^5-3*t^4+5/3*t^3"
+        "+11/3*t^2-t+1/3 residue=t^6-2*t^5-t^4-4*t^3-5*t^2+2*t+1"
+        " prime=17 root=2",
+    ],
+}
+
+
+def test_residues_text_pinned(capsys):
+    for name, want in RESIDUES_TEXT.items():
+        assert main(["residues", fixture_path(name)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == want
+
+
+def test_residues_strips_each_residue_once(capsys, monkeypatch):
+    # stripping squares factors integers; the table row, the certificate
+    # line and the payload share one representative per place, so each
+    # place's content has its numerator and denominator stripped once
+    import conicbundles.brauer as brauer_mod
+    calls = []
+    real = brauer_mod.squarefree_part_int
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(brauer_mod, "squarefree_part_int", counting)
+    for name in RESIDUES_TEXT:
+        calls.clear()
+        code, payload = run_json(capsys, ["residues", fixture_path(name)])
+        assert code == EXIT_OK
+        assert len(calls) == 2 * len(payload["residues"])
 
 
 def test_diagonalize_contract(capsys):
