@@ -95,7 +95,6 @@ class ConicBundle:
     sigma: tuple
     params: tuple = ()
     flags: tuple = ()
-    twist: int = 0
 
     def s(self, i: int, j: int) -> MultiPoly:
         if i > j:
@@ -116,7 +115,7 @@ class ConicBundle:
         a = self.weights.tuple
         votes = {}
         for (i, j), s in zip(PAIRS, self.sigma):
-            d = _xpart_degree(s)
+            d = xpart_degree(s)
             if d is None:
                 continue
             votes[d - a[i] - a[j]] = votes.get(d - a[i] - a[j], 0) + 1
@@ -129,7 +128,7 @@ class ConicBundle:
         return name in self.flags
 
 
-def _xpart_degree(p: MultiPoly):
+def xpart_degree(p: MultiPoly):
     """Degree of a form in the x0, x1 part only; None for the zero
     polynomial, None if not x-homogeneous (caller re-checks)."""
     if p.is_zero():
@@ -169,7 +168,7 @@ def make_bundle(weights, sigma_texts, params=()) -> ConicBundle:
 def validate_bundle(cb: ConicBundle) -> ConicBundle:
     """Check x-homogeneity and the degree chain deg sigma_ij =
     a_i + a_j + m; re-twist so m becomes 0 (even case) or 1 (odd),
-    recording the weight shift; flag zero diagonal entries
+    shifting the weights; flag zero diagonal entries
     (rational-by-section) and an identically zero discriminant."""
     for name, s in zip(SIGMA_NAMES, cb.sigma):
         if not _x_homogeneous(s):
@@ -177,7 +176,7 @@ def validate_bundle(cb: ConicBundle) -> ConicBundle:
     a = cb.weights.tuple
     m = cb.shift()
     for name, (i, j), s in zip(SIGMA_NAMES, PAIRS, cb.sigma):
-        d = _xpart_degree(s)
+        d = xpart_degree(s)
         if d is not None and d != a[i] + a[j] + m:
             raise BundleError(
                 "degree mismatch in %s: degree %d, expected %d + m with m = %d"
@@ -194,17 +193,22 @@ def validate_bundle(cb: ConicBundle) -> ConicBundle:
             flags.add("rational-by-section")
     if discriminant_form(cb).is_zero():
         flags.add("degenerate-discriminant")
-    return replace(cb, weights=w, flags=tuple(sorted(flags)),
-                   twist=cb.twist + c)
+    return replace(cb, weights=w, flags=tuple(sorted(flags)))
+
+
+def half_gram_det(a0, a1, a2, a3, a4, a5):
+    """Determinant of the Gram matrix of a0*y0^2 + a1*y0*y1 + a2*y0*y2
+    + a3*y1^2 + a4*y1*y2 + a5*y2^2 (cross terms halved): a0*a3*a5 for
+    a diagonal form."""
+    q = Fraction(1, 4)
+    return (a0 * a3 * a5 - a0 * a4 * a4 * q - a1 * a1 * a5 * q
+            + a1 * a2 * a4 * q - a2 * a2 * a3 * q)
 
 
 def discriminant_form(cb: ConicBundle) -> MultiPoly:
     """Half-Gram determinant of the fiber form: for a diagonal bundle
     this is sigma00*sigma11*sigma22."""
-    s00, s01, s02, s11, s12, s22 = cb.sigma
-    q = Fraction(1, 4)
-    return (s00 * s11 * s22 - s00 * s12 * s12 * q - s01 * s01 * s22 * q
-            + s01 * s02 * s12 * q - s02 * s02 * s11 * q)
+    return half_gram_det(*cb.sigma)
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ def discriminant(cb: ConicBundle) -> DiscriminantData:
     md = cb.multidegree()
     hom = discriminant_form(cb)
     aff = dehomogenize(hom, cb.params)
-    deg = _xpart_degree(hom)
+    deg = xpart_degree(hom)
     return DiscriminantData(
         delta_homogeneous=hom,
         delta_affine=aff,
@@ -263,8 +267,7 @@ def instantiate(cb: ConicBundle, values: dict) -> ConicBundle:
         t = s.substitute(mapping) if cb.params else s
         sigma.append(t.drop_unused(("x0", "x1")).align(("x0", "x1")))
     return validate_bundle(ConicBundle(weights=cb.weights,
-                                       sigma=tuple(sigma), params=(),
-                                       twist=cb.twist))
+                                       sigma=tuple(sigma)))
 
 
 def bundle_equation(cb: ConicBundle) -> MultiPoly:
@@ -394,11 +397,11 @@ def bundle_to_text(cb: ConicBundle) -> str:
 MAX_DRAWS = 400
 
 
-def random_bundle(weights, seed: int, lo: int = -9, hi: int = 9,
-                  require_squarefree: bool = True) -> ConicBundle:
+def random_bundle(weights, seed: int, lo: int = -9,
+                  hi: int = 9) -> ConicBundle:
     """Seeded integer-coefficient member of the family of the given
     weights (m = 0), rejection-sampled until the affine discriminant
-    has full degree and, when requested, is square-free."""
+    has full degree and is square-free."""
     w = weights if isinstance(weights, Weights) else Weights(*weights)
     rng = random.Random(seed)
     a = w.tuple
@@ -419,7 +422,7 @@ def random_bundle(weights, seed: int, lo: int = -9, hi: int = 9,
         _, cs = as_univariate(aff, "t")
         if len(cs) - 1 != target:
             continue
-        if require_squarefree and not is_squarefree(cs):
+        if not is_squarefree(cs):
             continue
         return validate_bundle(cb)
     raise RuntimeError(

@@ -181,29 +181,30 @@ def _require_numeric(cb, what: str):
         raise CommandFailure(EXIT_INVALID, "%s needs a numeric bundle" % what)
 
 
+def _pivot_report(diag, lines, payload):
+    """The pivot ordering as a text line and a JSON key, and the shear
+    the same way when one was made."""
+    lines.append("pivot: (%d, %d, %d)" % diag.pivot)
+    payload["pivot"] = list(diag.pivot)
+    if diag.shear is not None:
+        lines.append("shear: (%d, %d)" % diag.shear)
+        payload["shear"] = list(diag.shear)
+
+
 def cmd_diagonalize(args):
     cb = _load(args.file)
     _require_numeric(cb, "diagonalization")
-    form = generic_fiber_form(cb)
     try:
-        pivot, diag = diagonalize_pivoted(form)
+        diag = diagonalize_pivoted(generic_fiber_form(cb))
     except DegeneratePivot as exc:
         raise CommandFailure(EXIT_DEGENERATE, str(exc))
-    # from the pivoted coordinates y[pivot[k]] back to y0, y1, y2
-    basis = [[col[pivot.index(i)] for i in range(3)] for col in diag.basis]
-    lines = []
-    for k, entry in enumerate(diag.entries):
-        lines.append("d%d = %s" % (k, entry))
-    for k, col in enumerate(basis):
-        lines.append("basis[%d] = (%s)" % (k, ", ".join(str(c) for c in col)))
-    lines.append("pivot: (%d, %d, %d)" % pivot)
-    payload = {
-        "command": "diagonalize",
-        "file": str(args.file),
-        "pivot": list(pivot),
-        "entries": [str(e) for e in diag.entries],
-        "basis": [[str(c) for c in col] for col in basis],
-    }
+    lines = ["d%d = %s" % (k, entry) for k, entry in enumerate(diag.entries)]
+    lines += ["basis[%d] = (%s)" % (k, ", ".join(str(c) for c in col))
+              for k, col in enumerate(diag.basis)]
+    payload = {"command": "diagonalize", "file": str(args.file)}
+    _pivot_report(diag, lines, payload)
+    payload["entries"] = [str(e) for e in diag.entries]
+    payload["basis"] = [[str(c) for c in col] for col in diag.basis]
     return EXIT_OK, payload, lines
 
 
@@ -218,17 +219,13 @@ def cmd_residues(args):
             EXIT_NO_CERTIFICATE,
             "bundle has a section (zero diagonal coefficient); "
             "no certificate can exist")
-    try:
-        pair = brauer_model(cb)
-    except DegeneratePivot as exc:
-        raise CommandFailure(EXIT_DEGENERATE, str(exc))
+    pair = brauer_model(cb)
     rcs = residues_all(pair, args.prime_bound)
     cert = certificate_from_residues(cb, rcs, args.prime_bound)
-    lines = [
-        "a = %s" % pair.a,
-        "b = %s" % pair.b,
-        "pivot: (%d, %d, %d)" % pair.pivot,
-    ]
+    lines = ["a = %s" % pair.a, "b = %s" % pair.b]
+    payload = {"command": "residues", "file": str(args.file),
+               "a": str(pair.a), "b": str(pair.b)}
+    _pivot_report(pair, lines, payload)
     rows = []
     for rc in rcs:
         value = t_text(rc.normalized())
@@ -244,15 +241,8 @@ def cmd_residues(args):
             "residue": value,
             "trivial": rc.provably_trivial(),
         })
-    payload = {
-        "command": "residues",
-        "file": str(args.file),
-        "a": str(pair.a),
-        "b": str(pair.b),
-        "pivot": list(pair.pivot),
-        "residues": rows,
-        "certificate": None,
-    }
+    payload["residues"] = rows
+    payload["certificate"] = None
     if cert is None:
         lines.append("no certificate found (inconclusive)")
         return EXIT_NO_CERTIFICATE, payload, lines
@@ -319,12 +309,6 @@ def cmd_dominance(args):
             EXIT_INVALID, "unknown locus %r (choose from %s)" % (
                 args.locus, ", ".join(DOMINANCE_PAIRS)))
     spec = locus(args.locus)
-    if args.type is not None:
-        w = _triple(args.type)
-        if w.tuple != spec.weights:
-            raise CommandFailure(
-                EXIT_INVALID, "locus %s lives over weights (%d, %d, %d)" % (
-                    (args.locus,) + spec.weights))
     lines = ["locus %s  weights (%d, %d, %d)  dimension %d" % (
         (args.locus,) + spec.weights + (spec.dimension,))]
     reports = []
@@ -614,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
             "rank of the orbit-plus-locus differential at seeded points")
     p.add_argument("--locus", required=True,
                    help="one of %s" % ", ".join(DOMINANCE_PAIRS))
-    p.add_argument("--type", metavar="a0,a1,a2",
-                   help="weight triple (checked against the locus)")
     p.add_argument("--seeds", type=_positive, default=5,
                    help="number of consecutive seeds (default 5)")
     p.add_argument("--seed", type=int, default=0,

@@ -314,7 +314,7 @@ def irreducible_mod_p(coeffs, p: int) -> bool:
     return True
 
 
-def roots_mod_p(coeffs, p: int, seed: int = 0):
+def roots_mod_p(coeffs, p: int):
     """All roots of f in F_p (without multiplicity), sorted.  Uses
     Cantor-Zassenhaus equal-degree splitting on the linear part; falls
     back to scanning for p = 2."""
@@ -328,7 +328,7 @@ def roots_mod_p(coeffs, p: int, seed: int = 0):
     # linear-root part: gcd(t^p - t, f)
     tp = pmod_pow([0, 1], p, f, p)
     lin = pmod_gcd(pmod_add(tp, [0, p - 1], p), f, p)
-    rng = random.Random(seed * 2654435761 + p)
+    rng = random.Random(p)
     roots = []
     stack = [lin]
     while stack:

@@ -25,6 +25,7 @@ from .bundles import (
     dehomogenize,
     discriminant_form,
     validate_bundle,
+    xpart_degree,
 )
 from .exactmath import (
     Jet,
@@ -516,9 +517,6 @@ def locus_member(spec: LocusSpec, seed, lo: int = -9,
 
 @dataclass(frozen=True)
 class DominanceReport:
-    locus: str
-    weights: tuple
-    seed: object
     chart_size: int
     locus_dims: int
     normal_index: int
@@ -535,8 +533,8 @@ class DominanceReport:
         return self.rank == self.expected
 
 
-def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
-                              seed=None, group_coords=None) -> DominanceReport:
+def jacobian_rank_at_identity(spec: LocusSpec,
+                              cb: ConicBundle) -> DominanceReport:
     """Exact rank of the orbit-map differential at the identity over a
     fixed locus member.  The group columns are the infinitesimal action
     of the chart coordinates on the coefficient vector (`group_columns`);
@@ -563,12 +561,6 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
         raise FamiliesError("zero bundle has no orbit map")
 
     chart = chart_coordinates(spec.weights)
-    if group_coords is not None:
-        bad = [g for g in group_coords if g not in chart]
-        if bad:
-            raise FamiliesError("not chart coordinates: %s"
-                                % ", ".join(bad))
-        chart = tuple(group_coords)
     cols = group_columns(cb, chart)
 
     # the canonical names run in coefficient-vector order, so a kernel
@@ -587,19 +579,15 @@ def jacobian_rank_at_identity(spec: LocusSpec, cb: ConicBundle,
             for i in range(len(f0)) if i != n]
     rank = mat_rank(rows)
     return DominanceReport(
-        locus=spec.name, weights=spec.weights, seed=seed,
         chart_size=len(chart),
         locus_dims=spec.dimension, normal_index=n, fallback=fallback,
         rank=rank, expected=len(f0) - 1)
 
 
-def dominance_report(locus_name: str, seed,
-                     group_coords=None) -> DominanceReport:
+def dominance_report(locus_name: str, seed) -> DominanceReport:
     """Sample a locus member at the given seed and run the rank check."""
     spec = locus(locus_name)
-    cb = locus_member(spec, seed)
-    return jacobian_rank_at_identity(spec, cb, seed=seed,
-                                     group_coords=group_coords)
+    return jacobian_rank_at_identity(spec, locus_member(spec, seed))
 
 
 # -- deformation dimension counts ----------------------------------------
@@ -744,13 +732,6 @@ _DICT_310_400 = (
 )
 
 
-def _x_degree(p: MultiPoly) -> int:
-    i0, i1 = p.vars.index("x0"), p.vars.index("x1")
-    if p.is_zero():
-        return -1
-    return max(e[i0] + e[i1] for e in p.terms)
-
-
 def _quadric_pullback(terms, comps, ring):
     acc = MultiPoly.zero(ring)
     for nm, i, j in terms:
@@ -786,11 +767,11 @@ def _dictionary_checks(checks, q_pull, expected, target_w):
         checks.append(DegenerationCheck(
             "dictionary sigma%d%d" % (i, j), diff.is_zero(),
             "" if diff.is_zero() else "difference %s" % diff))
-        d = _x_degree(g)
+        d = xpart_degree(g)
         checks.append(DegenerationCheck(
             "specialized degree sigma%d%d = %d" % (i, j, a[i] + a[j]),
             d == a[i] + a[j],
-            "" if d == a[i] + a[j] else "got degree %d" % d))
+            "" if d == a[i] + a[j] else "got degree %s" % d))
 
 
 def _source_family_check(checks, q_pull, source_weights):

@@ -3,8 +3,10 @@ bundle total spaces, quadratic Cremona transformations with exact
 strict transforms, the degree 8 -> 6 -> 4 -> 2 reduction chain, the
 tangent-plane two-section construction for weights (2,1,1), and
 rational point search on conics over Q with local obstruction
-reporting.  A Cremona map lists the lines it contracts, the factors
-of its Jacobian determinant, so strict transforms need no gcd.
+reporting.  A conic is diagonalized by `quadforms.diagonalize_pivoted`,
+the routine the residue path uses for the generic fiber.  A Cremona
+map lists the lines it contracts, the factors of its Jacobian
+determinant, so strict transforms need no gcd.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .exactmath import (
     NotDivisible,
     factorize,
     is_square_rat,
+    legendre,
     mat_rank,
     nullspace,
     sqrt_rat,
 )
 from .families import LOCI, bundle_coefficients, first_violation
-from .quadforms import DegeneratePivot, QuadraticForm3, diagonalize_pivoted
+from .quadforms import QuadraticForm3, diagonalize_pivoted
 
 W3 = ("w0", "w1", "w2")
 Z4 = ("z0", "z1", "z2", "z3")
@@ -185,8 +188,6 @@ class CremonaMap:
     inverse_slots: tuple
     lines: tuple = ()
     inverse_lines: tuple = ()
-    base_points: tuple = ()
-    base_description: str = ""
 
     def __post_init__(self):
         for triple in (self.slots, self.inverse_slots):
@@ -218,9 +219,7 @@ class CremonaMap:
         return CremonaMap(slots=self.inverse_slots,
                           inverse_slots=self.slots,
                           lines=self.inverse_lines,
-                          inverse_lines=self.lines,
-                          base_description="inverse of: "
-                                           + self.base_description)
+                          inverse_lines=self.lines)
 
     def apply_point(self, point):
         pt = dict(zip(W3, (Fraction(x) for x in point)))
@@ -276,9 +275,7 @@ def standard_cremona() -> CremonaMap:
     slots = _std_slots()
     lines = tuple(MultiPoly.variable(W3, v) for v in W3)
     return CremonaMap(
-        slots=slots, inverse_slots=slots, lines=lines, inverse_lines=lines,
-        base_points=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        base_description="coordinate triangle")
+        slots=slots, inverse_slots=slots, lines=lines, inverse_lines=lines)
 
 
 def _mat_inverse3(m):
@@ -326,11 +323,8 @@ def cremona_from_points(p0, p1, p2, recombine=None) -> CremonaMap:
     inverse = tuple(
         sum((std[j] * minv[i][j] for j in range(3)), MultiPoly.zero(W3))
         for i in range(3))
-    desc = "conics through %s, %s, %s" % (tuple(p0), tuple(p1), tuple(p2))
     cmap = CremonaMap(slots=slots, inverse_slots=inverse,
-                      lines=(l01, l02, l12), inverse_lines=std_lines,
-                      base_points=(tuple(p0), tuple(p1), tuple(p2)),
-                      base_description=desc)
+                      lines=(l01, l02, l12), inverse_lines=std_lines)
     if recombine is not None:
         cmap = recombine_target(cmap, recombine)
     return cmap
@@ -351,10 +345,7 @@ def recombine_target(cmap: CremonaMap, t) -> CremonaMap:
     return CremonaMap(slots=slots, inverse_slots=inverse,
                       lines=cmap.lines,
                       inverse_lines=tuple(ln.substitute(pre)
-                                          for ln in cmap.inverse_lines),
-                      base_points=cmap.base_points,
-                      base_description=cmap.base_description
-                                       + " (recombined)")
+                                          for ln in cmap.inverse_lines))
 
 
 def cremona_apply(cmap: CremonaMap, curve: PlaneCurve) -> PlaneCurve:
@@ -425,15 +416,14 @@ _CHAIN_T2 = ((1, 1, 2), (0, 1, 0), (0, 0, 1))
 # constants, built on first use rather than at import
 @cache
 def chain_phi3() -> CremonaMap:
+    # base points (0, 0, 1) and (2, 0, 1), one of them with an
+    # infinitely near base condition
     w0, w1, w2 = (MultiPoly.variable(W3, v) for v in W3)
     return CremonaMap(
         slots=(w0 * w0 - (w0 - w1) * w2 * 2, w1 * w1, w0 * w1),
         inverse_slots=((w2 - w1) * w2 * 2, (w2 - w1) * w1 * 2,
                        w2 * w2 - w0 * w1),
-        lines=(w1, w0 - w1), inverse_lines=(w1, w1 - w2),
-        base_points=((0, 0, 1), (2, 0, 1)),
-        base_description="explicit final map (one infinitely-near base "
-                         "condition)")
+        lines=(w1, w0 - w1), inverse_lines=(w1, w1 - w2))
 
 
 @cache
@@ -553,7 +543,6 @@ def _vp(q: Fraction, p: int) -> int:
 def _unit_part(q: Fraction, p: int) -> int:
     """q / p^v(q) as an integer mod squares proxy: numerator times
     denominator with the p-part removed."""
-    v = _vp(q, p)
     m = q.numerator * q.denominator
     while m % p == 0:
         m //= p
@@ -578,7 +567,6 @@ def hilbert_symbol(a, b, place) -> int:
         omega_v = (v * v - 1) // 8
         e = eps_u * eps_v + alpha * omega_v + beta * omega_u
         return -1 if e % 2 else 1
-    from .exactmath import legendre
     alpha, beta = _vp(a, p), _vp(b, p)
     u, v = _unit_part(a, p), _unit_part(b, p)
     s = 1
@@ -667,8 +655,7 @@ def conic_has_point(c: ConicQ,
         if not form.value(e):
             return ConicPointResult(status="point",
                                     point=_primitive_point(e))
-    diag = _diagonalize_full(form)
-    d0, d1, d2 = diag
+    d0, d1, d2 = diagonalize_pivoted(form).entries
     a = -(d0 / d2)
     b = -(d1 / d2)
     obstructed = []
@@ -687,38 +674,6 @@ def conic_has_point(c: ConicQ,
     return ConicPointResult(status="undecided", height_bound=height,
                             note="locally solvable everywhere; no point "
                                  "of height <= %d" % height)
-
-
-def _diagonalize_full(form: QuadraticForm3):
-    """Diagonal entries of a rank-3 rational form, with shearing when
-    every variable ordering has a zero pivot."""
-    try:
-        return diagonalize_pivoted(form)[1].entries
-    except DegeneratePivot:
-        pass
-    # all diagonal Gram entries vanish: merge two variables
-    a = form.alpha
-    for (i, j, k) in ((0, 1, 1), (0, 2, 2), (1, 2, 4)):
-        if a[k]:
-            g = form.gram()
-            # substitute w_j -> w_i + w_j: new w_i^2 coefficient is
-            # the old w_i w_j one
-            m = [[Fraction(1) if r == c else Fraction(0) for c in range(3)]
-                 for r in range(3)]
-            m[i][j] = Fraction(1)
-            new = [[None] * 3 for _ in range(3)]
-            for r in range(3):
-                for s in range(3):
-                    acc = Fraction(0)
-                    for u in range(3):
-                        for v in range(3):
-                            acc += m[u][r] * g[u][v] * m[v][s]
-                    new[r][s] = acc
-            sheared = QuadraticForm3((
-                new[0][0], 2 * new[0][1], 2 * new[0][2],
-                new[1][1], 2 * new[1][2], new[2][2]))
-            return _diagonalize_full(sheared)
-    raise DegeneratePivot("form has rank <= 2")
 
 
 # -- tangent-plane two-section for weights (2,1,1) --------------------------

@@ -5,6 +5,10 @@ that feeds the two-section construction for weights (4,0,0).  The
 generic fiber form and its diagonalization live in Q[t]; only the
 model's a = -d0/d2 and b = -d1/d2 live in Q(t).
 
+`diagonalize_pivoted` is the one place that picks a variable ordering,
+and a shear when no ordering works, for conics over Q and fibers over
+Q[t] alike; it returns the basis in the caller's variables.
+
 Coefficient ordering throughout:
 alpha0*y0^2 + alpha1*y0*y1 + alpha2*y0*y2 + alpha3*y1^2
 + alpha4*y1*y2 + alpha5*y2^2.
@@ -14,19 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import add
 
 from .bundles import (
+    PAIR_INDEX,
+    PAIRS,
     BundleError,
     ConicBundle,
     dehomogenize,
     discriminant_form,
+    half_gram_det,
 )
 from .exactmath import MultiPoly, RatFunc, is_square_rat, sqrt_rat
 from .exactmath.univariate import as_univariate
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 
 class DegeneratePivot(ValueError):
@@ -75,30 +83,39 @@ class QuadraticForm3:
     def discriminant(self):
         """Half-Gram determinant; for diagonal forms the product of
         the diagonal entries."""
-        a0, a1, a2, a3, a4, a5 = self.alpha
-        return (a0 * a3 * a5 - a0 * a4 * a4 * QUARTER
-                - a1 * a1 * a5 * QUARTER + a1 * a2 * a4 * QUARTER
-                - a2 * a2 * a3 * QUARTER)
+        return half_gram_det(*self.alpha)
 
-    def permuted(self, perm) -> "QuadraticForm3":
-        """Form in the re-ordered variables y_perm[0], y_perm[1],
-        y_perm[2]."""
-        g = self.gram()
-        p = perm
-        return QuadraticForm3((
-            g[p[0]][p[0]],
-            g[p[0]][p[1]] + g[p[1]][p[0]],
-            g[p[0]][p[2]] + g[p[2]][p[0]],
-            g[p[1]][p[1]],
-            g[p[1]][p[2]] + g[p[2]][p[1]],
-            g[p[2]][p[2]],
-        ))
+    def congruent(self, cols) -> "QuadraticForm3":
+        """The form in new variables z with y = M z, where column k of
+        M has ones at the indices cols[k] and zeros elsewhere: one index
+        per column is a permutation, cols[j] = (i, j) the shear
+        y_i -> y_i + y_j.  Coefficients are only added, so a
+        permutation costs no ring arithmetic."""
+        a = self.alpha
+
+        def coeff(r, s):
+            return a[PAIR_INDEX[min(r, s), max(r, s)]]
+
+        out = []
+        for k, l in PAIRS:
+            terms = [coeff(r, s) for r in cols[k] for s in cols[l]
+                     if k != l or r <= s]
+            if k != l:
+                # y_r^2 meets both columns: it counts twice in z_k*z_l
+                terms += [coeff(r, r) for r in cols[k] if r in cols[l]]
+            out.append(reduce(add, terms))
+        return QuadraticForm3(tuple(out))
 
 
 @dataclass(frozen=True)
 class DiagonalForm:
+    """B^T G B = diag(entries) for the basis B of three columns.  pivot
+    is the variable ordering used and shear the (i, j) of a substitution
+    y_i -> y_i + y_j made before it, or None."""
     entries: tuple
-    basis: tuple  # three column vectors
+    basis: tuple
+    pivot: tuple
+    shear: tuple | None
 
 
 def diagonalize(q: QuadraticForm3) -> DiagonalForm:
@@ -141,7 +158,7 @@ def diagonalize(q: QuadraticForm3) -> DiagonalForm:
                 raise AssertionError(
                     "congruence check failed: basis not orthogonal (%d,%d)"
                     % (i, j))
-    return DiagonalForm(entries=entries, basis=basis)
+    return DiagonalForm(entries, basis, (0, 1, 2), None)
 
 
 # -- the diagonal conic model of the generic fiber ---------------------
@@ -149,22 +166,41 @@ def diagonalize(q: QuadraticForm3) -> DiagonalForm:
 PIVOT_ORDER = tuple(permutations((0, 1, 2)))
 
 
-def diagonalize_pivoted(q: QuadraticForm3):
-    """(perm, DiagonalForm) for the first variable ordering in
-    PIVOT_ORDER whose pivots are invertible and whose third diagonal
-    entry is nonzero; raises DegeneratePivot when there is none."""
-    last_err = None
-    for perm in PIVOT_ORDER:
-        try:
-            diag = diagonalize(q.permuted(perm))
-        except DegeneratePivot as exc:
-            last_err = exc
-            continue
-        if not bool(diag.entries[2]):
-            last_err = DegeneratePivot(
-                "degenerate pivot: third diagonal entry vanishes")
-            continue
-        return perm, diag
+def diagonalize_pivoted(q: QuadraticForm3) -> DiagonalForm:
+    """q diagonalized with its basis in q's own variables y0, y1, y2.
+    The first ordering in PIVOT_ORDER whose pivots are invertible and
+    whose third entry is nonzero is used.  When all six fail, the form
+    is sheared once, y_i -> y_i + y_j at its first nonzero cross term,
+    and the six are tried again.  One shear suffices for a
+    nondegenerate form, so DegeneratePivot means rank <= 2: all six
+    fail only if every principal 2x2 minor vanishes with the diagonal
+    nonzero, and then the sheared (j, k) minor is 4*G_kk*G_ij, or if
+    G_ii = G_jj = 0, and then the shear gives G_jj = 2*G_ij and the
+    (j, i) minor -G_ij^2."""
+    # the cross terms y_i*y_j that are nonzero, as (i, j)
+    cross = [(i, j) for k, i, j in ((1, 0, 1), (2, 0, 2), (4, 1, 2))
+             if q.alpha[k]]
+    for shear in [None] + cross[:1]:
+        cols = [(0,), (1,), (2,)]
+        if shear is not None:
+            cols[shear[1]] = shear
+        for perm in PIVOT_ORDER:
+            m = tuple(cols[p] for p in perm)
+            try:
+                diag = diagonalize(q.congruent(m))
+                if not bool(diag.entries[2]):
+                    raise DegeneratePivot(
+                        "degenerate pivot: third diagonal entry vanishes")
+            except DegeneratePivot as exc:
+                # a failure reports the last reason without the shear
+                last_err = exc if shear is None else last_err
+                continue
+            # y = M z: row r of M has ones at the k with r in m[k]
+            basis = tuple(
+                tuple(reduce(add, [col[k] for k in range(3) if r in m[k]])
+                      for r in range(3))
+                for col in diag.basis)
+            return DiagonalForm(diag.entries, basis, perm, shear)
     raise DegeneratePivot(
         "every variable ordering hits a degenerate pivot (%s)" % last_err)
 
@@ -174,6 +210,7 @@ class BrauerPair:
     a: RatFunc
     b: RatFunc
     pivot: tuple = (0, 1, 2)
+    shear: tuple | None = None
 
 
 def generic_fiber_form(cb: ConicBundle) -> QuadraticForm3:
@@ -188,9 +225,9 @@ def generic_fiber_form(cb: ConicBundle) -> QuadraticForm3:
 def brauer_model(cb: ConicBundle) -> BrauerPair:
     """Diagonal conic a*x^2 + b*y^2 - z^2 = 0 isomorphic over Q(t) to
     the generic fiber of a numeric bundle: a = -d0/d2, b = -d1/d2 from
-    the diagonalized fiber form, reduced fractions in t.  If the
-    standard pivot degenerates, the variables are permuted (recorded in
-    the result).  A parametric bundle raises BundleError."""
+    the diagonalized fiber form, reduced fractions in t.  The pivot
+    ordering and shear of `diagonalize_pivoted` are recorded in the
+    result.  A parametric bundle raises BundleError."""
     if cb.params:
         raise BundleError("the diagonal model needs a numeric bundle; "
                           "fix the parameters first")
@@ -200,15 +237,12 @@ def brauer_model(cb: ConicBundle) -> BrauerPair:
     al = q.alpha
     if not any(al[k] for k in (1, 2, 4)) and all(al[k] for k in (0, 3, 5)):
         # already diagonal: use the entries as they stand
-        pivot, (d0, d1, d2) = (0, 1, 2), (al[0], al[3], al[5])
+        pivot, shear, (d0, d1, d2) = (0, 1, 2), None, (al[0], al[3], al[5])
     else:
-        try:
-            pivot, diag = diagonalize_pivoted(q)
-        except DegeneratePivot as exc:
-            raise DegeneratePivot(
-                "cannot diagonalize generically: %s" % exc) from None
-        d0, d1, d2 = diag.entries
-    return BrauerPair(a=-RatFunc(d0, d2), b=-RatFunc(d1, d2), pivot=pivot)
+        diag = diagonalize_pivoted(q)
+        pivot, shear, (d0, d1, d2) = diag.pivot, diag.shear, diag.entries
+    return BrauerPair(a=-RatFunc(d0, d2), b=-RatFunc(d1, d2),
+                      pivot=pivot, shear=shear)
 
 
 # -- degree-8 normal form for weights (4, 0, 0) -------------------------

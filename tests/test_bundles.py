@@ -59,7 +59,6 @@ def test_validate_normalizes_even_shift():
                                       "x0^4", "x0^4")))
     assert cb.weights.tuple == (3, 2, 2)
     assert cb.shift() == 0
-    assert cb.twist == 1
 
 
 def test_validate_keeps_odd_shift():
@@ -98,8 +97,7 @@ def test_discriminant_is_half_gram_determinant():
     half = Fraction(1, 2)
     for wt in TYPES:
         for trial in range(5):
-            cb = random_bundle(wt, seed=100 * trial + 7,
-                               require_squarefree=False)
+            cb = random_bundle(wt, seed=100 * trial + 7)
             s00, s01, s02, s11, s12, s22 = cb.sigma
             gram = [[s00, s01 * half, s02 * half],
                     [s01 * half, s11, s12 * half],

@@ -187,18 +187,18 @@ def test_diagonalize_contract(capsys):
     assert payload["exit_code"] == EXIT_INVALID
 
 
-def test_diagonalize_pivots_back_to_the_original_coordinates(capsys,
-                                                             tmp_path):
-    sympy = pytest.importorskip("sympy")
-    # the upper-left 2x2 block is singular, so the pivot is not (0, 1, 2)
-    sigma = ("x0^4", "2*x0^4", "x1^2", "x0^4", "x0^2", "1")
-    path = tmp_path / "b220.cb"
-    path.write_text("weights = 2 2 0\n" + "".join(
+def write_bundle(tmp_path, name, weights, sigma):
+    path = tmp_path / name
+    path.write_text("weights = %s\n" % weights + "".join(
         "sigma%s = %s\n" % (ij, s)
         for ij, s in zip(("00", "01", "02", "11", "12", "22"), sigma)))
-    code, payload = run_json(capsys, ["diagonalize", str(path)])
-    assert code == EXIT_OK
-    assert payload["pivot"] == [0, 2, 1]
+    return str(path)
+
+
+def assert_basis_diagonalizes(sigma, payload):
+    """B^T G B = diag(d) in sympy, with G the Gram matrix of the fiber
+    form in the file's own variables (t = x0, x1 = 1)."""
+    sympy = pytest.importorskip("sympy")
     t, x0, x1 = sympy.symbols("t x0 x1")
     s00, s01, s02, s11, s12, s22 = (
         sympy.sympify(s.replace("^", "**")).subs({x0: t, x1: 1})
@@ -212,8 +212,57 @@ def test_diagonalize_pivots_back_to_the_original_coordinates(capsys,
     diag = sympy.diag(*[sympy.sympify(e.replace("^", "**"), locals={"t": t})
                         for e in payload["entries"]])
     assert sympy.expand(basis.T * gram * basis - diag) == sympy.zeros(3, 3)
-    assert main(["diagonalize", str(path)]) == EXIT_OK
+
+
+def test_diagonalize_pivots_back_to_the_original_coordinates(capsys,
+                                                             tmp_path):
+    # the upper-left 2x2 block is singular, so the pivot is not (0, 1, 2)
+    sigma = ("x0^4", "2*x0^4", "x1^2", "x0^4", "x0^2", "1")
+    path = write_bundle(tmp_path, "b220.cb", "2 2 0", sigma)
+    code, payload = run_json(capsys, ["diagonalize", path])
+    assert code == EXIT_OK
+    assert payload["pivot"] == [0, 2, 1] and "shear" not in payload
+    assert_basis_diagonalizes(sigma, payload)
+    assert main(["diagonalize", path]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "pivot: (0, 2, 1)"
+
+
+# every principal 2x2 minor of this fiber form vanishes identically, so
+# no variable ordering works until a shear y0 -> y0 + y1
+SHEAR_SIGMA = ("x0^8 + 2*x0^4*x1^4 + x1^8", "2*x0^4 + 2*x1^4",
+               "-2*x0^4 - 2*x1^4", "1", "2", "1")
+
+
+def test_diagonalize_and_residues_shear_when_no_ordering_works(capsys,
+                                                               tmp_path):
+    path = write_bundle(tmp_path, "shear.cb", "4 0 0", SHEAR_SIGMA)
+    code, payload = run_json(capsys, ["discriminant", path])
+    assert code == EXIT_OK and payload["delta_affine"] == "-4*t^8 - 8*t^4 - 4"
+    code, payload = run_json(capsys, ["diagonalize", path])
+    assert code == EXIT_OK
+    assert payload["shear"] == [0, 1]
+    assert_basis_diagonalizes(SHEAR_SIGMA, payload)
+    assert_reruns_identical(capsys, ["diagonalize", path], EXIT_OK)
+    main(["diagonalize", path])
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "pivot: (%d, %d, %d)" % tuple(payload["pivot"]), "shear: (0, 1)"]
+    # every residue is trivial: inconclusive, not degenerate
+    code, payload = run_json(capsys, ["residues", path])
+    assert code == EXIT_NO_CERTIFICATE
+    assert payload["shear"] == [0, 1]
+    assert payload["residues"] and all(r["trivial"]
+                                       for r in payload["residues"])
+    assert_reruns_identical(capsys, ["residues", path], EXIT_NO_CERTIFICATE)
+
+
+def test_conic_point_on_a_form_with_no_working_ordering(capsys):
+    # w0^2 + w1^2 + w2^2 + 2*w0*w1 - 2*w0*w2 + 2*w1*w2: nondegenerate,
+    # every principal 2x2 minor zero
+    coeffs = "1,2,1,-2,2,1"
+    code, payload = run_json(capsys, ["conic-point", coeffs])
+    assert code == EXIT_OK and payload["status"] == "point"
+    conic = ConicQ(tuple(Fraction(c) for c in coeffs.split(",")))
+    assert conic.value([Fraction(x) for x in payload["point"]]) == 0
 
 
 CHAIN_KEYS = {"command", "seed", "instantiation", "degrees", "deep_point",
@@ -391,6 +440,7 @@ def test_each_flag_only_where_it_is_read(capsys):
                ["residues", min844, "--height-bound", "9"],
                ["conic-point", "--prime-bound", "9", "1,0,1,0,0,-1"],
                ["dominance", "--locus", "U12", "--prime-bound", "9"],
+               ["dominance", "--locus", "U12", "--type", "4,0,0"],
                ["cremona-chain", "--height-bound", "9"],
                ["residues", min844, "--prime-bound", "0"],
                ["conic-point", "--height-bound", "-1", "1,0,1,0,0,-1"])

@@ -312,12 +312,6 @@ def test_dominance_c2zero_always_falls_back():
     assert rep.fallback and rep.normal_index == 20
 
 
-def test_dominance_restricted_chart_loses_rank():
-    rep = dominance_report("U12", 0, group_coords=("alpha01",))
-    assert rep.columns == 1 + 13
-    assert rep.rank < 21 and not rep.ok
-
-
 def test_rank_check_guards():
     spec = locus("U_433222")
     with pytest.raises(FamiliesError, match="not on locus"):
@@ -328,8 +322,6 @@ def test_rank_check_guards():
     with pytest.raises(FamiliesError, match="weights"):
         jacobian_rank_at_identity(spec, validate_bundle(
             random_bundle((2, 2, 0), 3)))
-    with pytest.raises(FamiliesError, match="chart"):
-        dominance_report("U12", 0, group_coords=("nope",))
 
 
 # -- deformation counts ---------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from importlib.resources import files
+from itertools import product
 
 import pytest
 
@@ -72,8 +73,13 @@ def test_discriminant_is_gram_determinant():
         assert q.discriminant() == mat_det(q.gram())
 
 
+def perm_cols(perm):
+    """congruent() columns that re-order the variables as perm."""
+    return tuple((p,) for p in perm)
+
+
 def test_permuted_value_invariance():
-    # q.permuted(p) is q written in the variables y_p[0], y_p[1], y_p[2]
+    # q.congruent(perm_cols(p)) is q in the variables y_p[0], y_p[1], y_p[2]
     rng = random.Random(13)
     for _ in range(30):
         q = rand_form(rng)
@@ -82,7 +88,16 @@ def test_permuted_value_invariance():
         w = [None] * 3
         for i in range(3):
             w[perm[i]] = v[i]
-        assert q.permuted(perm).value(v) == q.value(w)
+        assert q.congruent(perm_cols(perm)).value(v) == q.value(w)
+    # any 0/1 columns, overlapping ones included: q(M z) for y = M z
+    for _ in range(30):
+        q = rand_form(rng)
+        cols = tuple(tuple(r for r in range(3) if rng.random() < 0.5)
+                     or (rng.randrange(3),) for _ in range(3))
+        z = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
+        y = [sum((z[k] for k in range(3) if r in cols[k]), Fraction(0))
+             for r in range(3)]
+        assert q.congruent(cols).value(z) == q.value(y)
 
 
 def test_diagonalize_entries_and_congruence():
@@ -143,10 +158,11 @@ def test_brauer_model_pivot_permutation():
     cb = make_bundle((2, 2, 0),
                      ("0", "x0^4", "x0^2", "x0^4 + x1^4", "x1^2", "1"))
     bp = brauer_model(cb)
-    assert bp.pivot != (0, 1, 2)
-    pivot, diag = diagonalize_pivoted(generic_fiber_form(cb))
-    assert pivot == bp.pivot
-    q = generic_fiber_form(cb).permuted(pivot)
+    assert bp.pivot != (0, 1, 2) and bp.shear is None
+    diag = diagonalize_pivoted(generic_fiber_form(cb))
+    assert (diag.pivot, diag.shear) == (bp.pivot, bp.shear)
+    # the basis is in the form's own variables, not the pivoted ones
+    q = generic_fiber_form(cb)
     for i in range(3):
         for j in range(3):
             got = q.bilinear(diag.basis[i], diag.basis[j])
@@ -291,15 +307,11 @@ def test_brauer_model_congruence_against_sympy():
     sympy = pytest.importorskip("sympy")
     pivots = set()
     for cb in _model_bundles():
-        pivot, diag = diagonalize_pivoted(generic_fiber_form(cb))
-        assert pivot == brauer_model(cb).pivot
-        pivots.add(pivot)
-        g = _matrix_over_qt(generic_fiber_form(cb).permuted(pivot).gram())
-        b = _matrix_over_qt([[diag.basis[c][r] for c in range(3)]
-                             for r in range(3)])
-        want = _matrix_over_qt([[diag.entries[r] if r == c else 0
-                                 for c in range(3)] for r in range(3)])
-        assert b.transpose() * g * b == want
+        q = generic_fiber_form(cb)
+        diag = diagonalize_pivoted(q)
+        assert diag.pivot == brauer_model(cb).pivot
+        pivots.add(diag.pivot)
+        assert _congruent_in_sympy(q, diag)
     assert (0, 1, 2) in pivots and len(pivots) > 1
 
 
@@ -308,8 +320,8 @@ def test_brauer_model_ratios_against_sympy():
     t = sympy.Symbol("t")
     for cb in _model_bundles():
         bp = brauer_model(cb)
-        pivot, diag = diagonalize_pivoted(generic_fiber_form(cb))
-        assert pivot == bp.pivot
+        diag = diagonalize_pivoted(generic_fiber_form(cb))
+        assert diag.pivot == bp.pivot
         d0, d1, d2 = (_sympy_of(d) for d in diag.entries)
         for r, d in ((bp.a, d0), (bp.b, d1)):
             num, den = sympy.fraction(sympy.cancel(-d / d2))
@@ -324,16 +336,107 @@ def test_diagonalize_pivoted_takes_first_working_order():
     cb = make_bundle((2, 2, 0),
                      ("0", "x0^4", "x0^2", "x0^4 + x1^4", "x1^2", "1"))
     q = generic_fiber_form(cb)
-    perm, diag = diagonalize_pivoted(q)
+    diag = diagonalize_pivoted(q)
+    perm = diag.pivot
     first = PIVOT_ORDER.index(perm)
-    assert first > 0
+    assert first > 0 and diag.shear is None
     for earlier in PIVOT_ORDER[:first]:
         with pytest.raises(DegeneratePivot):
-            diagonalize(q.permuted(earlier))
-    assert diag == diagonalize(q.permuted(perm))
-    # a rank-1 form fails every ordering
+            diagonalize(q.congruent(perm_cols(earlier)))
+    inner = diagonalize(q.congruent(perm_cols(perm)))
+    assert diag.entries == inner.entries
+    # the same basis, read back from y_perm[k] to y0, y1, y2
+    assert diag.basis == tuple(tuple(col[perm.index(r)] for r in range(3))
+                               for col in inner.basis)
+    # a rank-1 form fails every ordering, also after the shear
     with pytest.raises(DegeneratePivot, match="every variable ordering"):
         diagonalize_pivoted(QuadraticForm3((1, 2, 2, 1, 2, 1)))
+
+
+def _minors_zero_form(rng, g):
+    """G_ij = s_ij*g_i*g_j with s_ii = 1 and s01*s02*s12 = -1: every
+    principal 2x2 minor vanishes and the determinant is -4*(g0*g1*g2)^2."""
+    s01, s02 = rng.choice((1, -1)), rng.choice((1, -1))
+    s12 = -s01 * s02
+    g0, g1, g2 = g
+    return QuadraticForm3((g0 * g0, g0 * g1 * (2 * s01), g0 * g2 * (2 * s02),
+                           g1 * g1, g1 * g2 * (2 * s12), g2 * g2))
+
+
+def _zero_diagonal_form(rng, alpha):
+    """alpha with one, two or all three diagonal entries set to zero."""
+    alpha = list(alpha)
+    for k in rng.sample((0, 3, 5), rng.randint(1, 3)):
+        alpha[k] = alpha[k] - alpha[k]
+    return QuadraticForm3(tuple(alpha))
+
+
+def _rand_poly(rng, deg=2, lo=-3, hi=3):
+    return MultiPoly.from_univariate(
+        ("t",), "t", [Fraction(rng.randint(lo, hi)) for _ in range(deg + 1)])
+
+
+def _congruent_in_sympy(q, diag):
+    """B^T G B == diag(d) in sympy, G the Gram matrix of q itself."""
+    g = _matrix_over_qt(q.gram())
+    b = _matrix_over_qt([[diag.basis[c][r] for c in range(3)]
+                         for r in range(3)])
+    want = _matrix_over_qt([[diag.entries[r] if r == c else 0
+                             for c in range(3)] for r in range(3)])
+    return b.transpose() * g * b == want
+
+
+@pytest.mark.parametrize("over", ["Q", "Q[t]"])
+def test_diagonalize_pivoted_against_sympy(over):
+    pytest.importorskip("sympy")
+    rng = random.Random(21 if over == "Q" else 22)
+    if over == "Q":
+        def coeff():
+            return Fraction(rng.randint(-6, 6))
+    else:
+        def coeff():
+            return _rand_poly(rng)
+    samples = []
+    for _ in range(40):
+        alpha = tuple(coeff() for _ in range(6))
+        if any(alpha):
+            samples.append(QuadraticForm3(alpha))
+        g = tuple(coeff() for _ in range(3))
+        if all(g):
+            samples.append(_minors_zero_form(rng, g))
+        if any(alpha[k] for k in (1, 2, 4)):
+            samples.append(_zero_diagonal_form(rng, alpha))
+    sheared = done = 0
+    for q in samples:
+        if not _matrix_over_qt(q.gram()).det():
+            with pytest.raises(DegeneratePivot):
+                diagonalize_pivoted(q)
+            continue
+        diag = diagonalize_pivoted(q)
+        assert _congruent_in_sympy(q, diag)
+        done += 1
+        sheared += diag.shear is not None
+    assert done > 80 and sheared > 30
+
+
+def test_small_forms_all_diagonalize():
+    # every nondegenerate form with coefficients in {-1, 0, 1}
+    sheared = 0
+    for alpha in product((-1, 0, 1), repeat=6):
+        if not any(alpha):
+            continue
+        q = QuadraticForm3(tuple(Fraction(a) for a in alpha))
+        if not q.discriminant():
+            with pytest.raises(DegeneratePivot):
+                diagonalize_pivoted(q)
+            continue
+        diag = diagonalize_pivoted(q)
+        for i in range(3):
+            for j in range(3):
+                assert q.bilinear(diag.basis[i], diag.basis[j]) == (
+                    diag.entries[i] if i == j else 0)
+        sheared += diag.shear is not None
+    assert sheared > 0
 
 
 def test_congruence_check_raises_on_wrong_gram(monkeypatch):

@@ -1,6 +1,9 @@
-"""The benchmark's tracer patches package functions by name; every name
-it lists must still exist, or `perfbench/run.py --trace 1` breaks."""
+"""Repository tooling.  The benchmark's tracer patches package functions
+by name; every name it lists must still exist, or `perfbench/run.py
+--trace 1` breaks.  Every definition in the package is referenced from
+the package or kept on a list that says why."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -25,3 +28,54 @@ def test_traced_layers_resolve_on_the_package():
             obj = getattr(obj, part, None)
             assert obj is not None, "%s.%s is gone" % (module, attr)
         assert callable(obj), "%s.%s is not callable" % (module, attr)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "conicbundles"
+
+# definitions nothing in src/ refers to, each kept for a stated reason
+UNREFERENCED = {
+    # the benchmark calls it
+    "no_section_certificate": "perfbench certify times the lazy search",
+    "udiscriminant": "perfbench traces it as a layer",
+    "pullback": "perfbench traces it; the tests' oracle for group "
+                "columns (ROADMAP item 7)",
+    # test oracles
+    "valuation": "test oracle for residues",
+    "bilinear": "test oracle for the congruence check",
+    "same_rational_class": "test oracle for residue classes",
+    "identity": "the pullback oracle's identity element (ROADMAP item 7)",
+    # a ROADMAP item is pending
+    "tangent_2section_433222": "ROADMAP item 2 puts it on a CLI path",
+    "apply_point": "ROADMAP item 2 pulls points through the chain",
+    "random_bundle": "ROADMAP item 8 gives it the --seeds sweeps",
+    "theorem_310_400_hypotheses": "ROADMAP item 6 routes or deletes it",
+    "satisfied": "read off theorem_310_400_hypotheses (ROADMAP item 6)",
+    "make_bundle": "ROADMAP item 7 moves the tests onto the parser",
+    "bundle_to_text": "ROADMAP item 7 moves the tests onto the parser",
+    # called by a library
+    "error": "argparse calls ArgumentParser.error on a bad command line",
+}
+
+
+def test_every_definition_is_referenced_or_allowlisted():
+    # a reference is a name or an attribute with the definition's name
+    # anywhere in src/, so a dead method that shares its name with a
+    # live one goes unseen; dunder methods are called by Python itself
+    defined, referenced = set(), set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = defined - referenced
+    assert not unreferenced - set(UNREFERENCED), (
+        "nothing in src/ refers to these; delete them or give a reason",
+        sorted(unreferenced - set(UNREFERENCED)))
+    assert not set(UNREFERENCED) - unreferenced, (
+        "allowlisted but now referenced or gone",
+        sorted(set(UNREFERENCED) - unreferenced))
