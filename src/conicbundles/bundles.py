@@ -251,7 +251,7 @@ def dehomogenize(p: MultiPoly, params=()) -> MultiPoly:
         for k, nm in zip(rest, names):
             key[target.index(nm)] = e[k]
         key = tuple(key)
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms.get(key, 0) + c
     return MultiPoly(target, terms)
 
 

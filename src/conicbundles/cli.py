@@ -22,6 +22,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .brauer import (
@@ -548,7 +549,10 @@ def _positive(text: str) -> int:
     return n
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it
+    costs about a millisecond, and parsing leaves no state on it."""
     common = _Parser(add_help=False)
     common.add_argument("--output", choices=("text", "json"),
                         default="text", help="report format")

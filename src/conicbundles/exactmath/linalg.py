@@ -4,20 +4,22 @@ determinant, Gauss-Jordan reduction, nullspace bases."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def _int_rows(rows):
     """Clear denominators row by row; rank is unchanged, det scales by
-    the product of multipliers (returned)."""
+    the product of multipliers (returned).  Entries are ints or
+    Fractions, as MultiPoly stores them: an all-int row is copied as it
+    is, and a Fraction is never built for an int entry."""
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
-        den = 1
-        frow = [Fraction(c) for c in row]
-        for c in frow:
-            den = den * c.denominator // gcd(den, c.denominator)
-        out.append([int(c * den) for c in frow])
+        if all(type(c) is int for c in row):
+            out.append(list(row))
+            continue
+        den = lcm(*(c.denominator for c in row))
+        out.append([c.numerator * (den // c.denominator) for c in row])
         scale *= den
     return out, scale
 
@@ -77,7 +79,7 @@ def mat_det(rows) -> Fraction:
                 m[r][c] = (m[r][c] * pv - m[r][col] * m[col][c]) // prev
             m[r][col] = 0
         prev = pv
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def rref(rows):
@@ -111,7 +113,8 @@ def rref(rows):
 
 
 def nullspace(rows):
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column; an
+    integral entry is an int, as in _int_rows."""
     if not rows or not rows[0]:
         return []
     nc = len(rows[0])
@@ -119,9 +122,10 @@ def nullspace(rows):
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
+        v = [0] * nc
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            x = -m[r][fc]
+            v[pc] = x.numerator if x.denominator == 1 else x
         basis.append(v)
     return basis

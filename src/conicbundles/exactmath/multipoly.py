@@ -4,9 +4,17 @@ A MultiPoly is immutable after construction: a fixed ordered tuple of
 variable names plus a map from exponent vectors to nonzero coefficients.
 Symbolic parameters are handled by enlarging the variable set, so the
 same class serves both concrete binary forms and generic-coefficient
-identities.  Coefficients are Fractions by default; any field-like
-value (supporting +, -, *, bool) works for the generic ring operations,
-which is how first-order jets slot in for derivative computations.
+identities.
+
+A rational coefficient is stored as an int when it is integral and as
+a Fraction only when it has a denominator other than 1: integer
+arithmetic is much cheaper, and most coefficients are integers.  Every
+constructor and ring operation keeps to that rule and refuses a float,
+so a quotient of two coefficients is written Fraction(a, b), never
+a / b, which gives a float on two ints.  Any other field-like value
+(supporting +, -, *, bool) is stored as it is and works for the generic
+ring operations, which is how first-order jets slot in for derivative
+computations.
 """
 
 from __future__ import annotations
@@ -21,9 +29,35 @@ class NotDivisible(ArithmeticError):
 
 
 def _coerce(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
+    """A coefficient in stored form: an integral Fraction becomes its
+    numerator, an int or a proper Fraction stays as it is."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, float):
+        raise TypeError("float coefficient %r: divide with Fraction(a, b)"
+                        % (c,))
     return c
+
+
+def _settle(terms: dict) -> dict:
+    """Turn the integral Fractions that products and sums of proper
+    Fractions can leave into ints, in place."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _wrap(variables: tuple, terms: dict) -> "MultiPoly":
+    """A MultiPoly around terms that already keep the rules (exponent
+    vectors of the right length, nonzero coefficients in stored form),
+    without copying or checking them."""
+    p = MultiPoly.__new__(MultiPoly)
+    object.__setattr__(p, "vars", variables)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -109,13 +143,13 @@ class MultiPoly:
 
     def constant_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
         return next(iter(self.terms.values()))
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
@@ -174,7 +208,7 @@ class MultiPoly:
         return bool(self.terms)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -187,14 +221,13 @@ class MultiPoly:
                 out[e] = c
             else:
                 s = s + c
-                if s:
-                    out[e] = s
-                else:
+                if not s:
                     del out[e]
-        p = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(p, "vars", self.vars)
-        object.__setattr__(p, "terms", out)
-        return p
+                elif type(s) is Fraction and s.denominator == 1:
+                    out[e] = s.numerator
+                else:
+                    out[e] = s
+        return _wrap(self.vars, out)
 
     __radd__ = __add__
 
@@ -224,14 +257,15 @@ class MultiPoly:
                             out[e] = s
                         else:
                             del out[e]
-            p = MultiPoly.__new__(MultiPoly)
-            object.__setattr__(p, "vars", self.vars)
-            object.__setattr__(p, "terms", out)
-            return p
+            return _wrap(self.vars, _settle(out))
         c0 = _coerce(other)
-        if not c0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: c * c0 for e, c in self.terms.items()})
+        out = {}
+        if c0:
+            for e, c in self.terms.items():
+                c = c * c0
+                if c:
+                    out[e] = c
+        return _wrap(self.vars, _settle(out))
 
     __rmul__ = __mul__
 
@@ -257,7 +291,7 @@ class MultiPoly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return MultiPoly(self.vars, out)
+        return _wrap(self.vars, _settle(out))
 
     def coefficient_of_power(self, var: str, k: int) -> "MultiPoly":
         """The coefficient of var**k, as a polynomial in the same ring
@@ -350,7 +384,7 @@ class MultiPoly:
         vals = []
         for v in self.vars:
             vals.append(_coerce(mapping.get(v, 0)) if v in mapping else None)
-        acc = Fraction(0)
+        acc = 0
         for e, c in self.terms.items():
             m = c
             for i, k in enumerate(e):
@@ -387,23 +421,33 @@ class MultiPoly:
         return p
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises NotDivisible otherwise."""
+        """Exact polynomial division; raises NotDivisible otherwise.
+        The remainder is one dict, updated in place: each step removes
+        its grlex-leading term and adds terms below it."""
         self._check_same_vars(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        de, dc = divisor.leading_term_grlex()
-        rem = self
+        de = max(divisor.terms, key=grlex_key)
+        dc = divisor.terms[de]
+        rest = [(e, c) for e, c in divisor.terms.items() if e != de]
+        rem = dict(self.terms)
         q = {}
-        while rem.terms:
-            re, rc = rem.leading_term_grlex()
+        while rem:
+            re = max(rem, key=grlex_key)
             qe = tuple(a - b for a, b in zip(re, de))
             if any(k < 0 for k in qe):
                 raise NotDivisible("%s does not divide %s" % (divisor, self))
-            qc = rc / dc
+            qc = _coerce(Fraction(rem.pop(re), dc))
             q[qe] = qc
-            rem = rem - divisor * MultiPoly.monomial(self.vars, qe, qc)
+            for e, c in rest:
+                k = tuple(a + b for a, b in zip(e, qe))
+                s = rem.get(k, 0) - c * qc
+                if s:
+                    rem[k] = s
+                else:
+                    rem.pop(k, None)
         return MultiPoly(self.vars, q)
 
     def divides(self, other: "MultiPoly") -> bool:
@@ -428,7 +472,7 @@ class MultiPoly:
                     factors.append(self.vars[i])
                 elif k > 1:
                     factors.append("%s^%d" % (self.vars[i], k))
-            if isinstance(c, Fraction):
+            if isinstance(c, (int, Fraction)):
                 neg = c < 0
                 mag = -c if neg else c
                 if not factors or mag != 1:
@@ -439,7 +483,7 @@ class MultiPoly:
                 else:
                     parts.append((" - " if neg else " + ") + body)
             else:
-                # non-Fraction coefficient ring (jets etc): crude but unambiguous
+                # other coefficient rings (jets etc): crude but unambiguous
                 factors.insert(0, "(%s)" % (c,))
                 body = "*".join(factors)
                 parts.append(body if not parts else " + " + body)

@@ -8,6 +8,8 @@ path reads only `num` and `den`; there is no field arithmetic here."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .multipoly import MultiPoly, poly_gcd
 
 
@@ -22,7 +24,7 @@ class RatFunc:
         if num.is_zero():
             den = MultiPoly.const(num.vars, 1)
         elif den.is_constant():  # the gcd is 1: only scale den to 1
-            num = num * (1 / den.constant_value())
+            num = num * Fraction(1, den.constant_value())
             den = MultiPoly.const(num.vars, 1)
         else:
             g = poly_gcd(num, den)
@@ -30,8 +32,8 @@ class RatFunc:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             target = den.primitive_normalized()
-            scale = den.leading_term_grlex()[1] / target.leading_term_grlex()[1]
-            num = num * (1 / scale)
+            num = num * Fraction(target.leading_term_grlex()[1],
+                                 den.leading_term_grlex()[1])
             den = target
         self.num = num
         self.den = den

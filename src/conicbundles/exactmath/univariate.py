@@ -16,6 +16,7 @@ integer is factored to find them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm
 
@@ -50,12 +51,51 @@ def sqrt_rat(q) -> Fraction:
     return Fraction(isqrt(q.numerator), isqrt(q.denominator))
 
 
+# trial division bound of squarefree_part_int
+_TRIAL_BOUND = 10**5
+
+
+@cache
+def _trial_primes() -> tuple:
+    """The primes below _TRIAL_BOUND, sieved on first use."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(_TRIAL_BOUND - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, _TRIAL_BOUND, i)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
 def squarefree_part_int(n: int) -> int:
-    """Signed square-free part of an integer (sign preserved)."""
+    """Signed square-free part of an integer (sign preserved).
+
+    Trial division by the primes below B = 10^5 leaves a cofactor m
+    with no prime factor below B.  If m is 1 or a perfect square it
+    adds nothing; if m < B^3 and is not a square it is p or p*q with
+    p != q, so it is square-free.  Only otherwise is m factored: a
+    content s*r^2 whose s has no prime factor above B never sends its
+    large r to Pollard rho."""
     if n == 0:
         return 0
     out = -1 if n < 0 else 1
-    for p, e in factorize(n).items():
+    m = abs(n)
+    for p in _trial_primes():
+        if p * p > m:
+            # no prime factor below p is left: m is 1 or a prime
+            return out * m
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e % 2:
+                out *= p
+    r = isqrt(m)
+    if r * r == m:
+        return out
+    if m < _TRIAL_BOUND ** 3:
+        return out * m
+    for p, e in factorize(m).items():
         if e % 2:
             out *= p
     return out

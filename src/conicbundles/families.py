@@ -434,7 +434,7 @@ class LocusSpec:
             if not den:
                 raise FamiliesError("%s must not vanish on %s"
                                     % (lin, self.name))
-            out[dep] = -rest.evaluate(out) / den
+            out[dep] = Fraction(-rest.evaluate(out), den)
         return out
 
 
@@ -486,7 +486,7 @@ def first_violation(spec: LocusSpec, values: dict):
         if rel.evaluate(values):
             den = lin.evaluate(values)
             return (dep, values[dep],
-                    -rest.evaluate(values) / den if den else None)
+                    Fraction(-rest.evaluate(values), den) if den else None)
     return None
 
 
@@ -497,7 +497,7 @@ def locus_member(spec: LocusSpec, seed, lo: int = -9,
     degree 8."""
     rng = random.Random("%s#%s" % (spec.name, seed))
     for _ in range(MAX_DRAWS):
-        draw = {nm: Fraction(rng.randint(lo, hi)) for nm in spec.free}
+        draw = {nm: rng.randint(lo, hi) for nm in spec.free}
         try:
             values = spec.solve(draw)
         except FamiliesError:

@@ -288,7 +288,7 @@ def _mat_inverse3(m):
     adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
            (f * g - d * i, a * i - c * g, c * d - a * f),
            (d * h - e * g, b * g - a * h, a * e - b * d))
-    return tuple(tuple(x / det for x in row) for row in adj)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 def _linear_slot(row):
@@ -377,8 +377,8 @@ def u12_coefficients(cb: ConicBundle) -> dict:
 
 def u12_delta(coeffs: dict) -> Fraction:
     return (coeffs["a4"] + 2 * coeffs["a6"]
-            + (coeffs["b2"] + coeffs["c2"]) / 2
-            + (coeffs["d0"] + coeffs["g0"] + coeffs["h0"]) / 4)
+            + Fraction(coeffs["b2"] + coeffs["c2"], 2)
+            + Fraction(coeffs["d0"] + coeffs["g0"] + coeffs["h0"], 4))
 
 
 @dataclass(frozen=True)
@@ -620,7 +620,7 @@ def _conic_point_search(c: ConicQ, height: int):
                 qc = a0 * x * x + a1 * x * y + a2 * y * y
                 if not qa:
                     if qb:
-                        z = -qc / qb
+                        z = Fraction(-qc, qb)
                         return _primitive_point((x, y, z))
                     if not qc:
                         return _primitive_point((x, y, 0))
@@ -629,7 +629,8 @@ def _conic_point_search(c: ConicQ, height: int):
                 if disc < 0 or not is_square_rat(disc):
                     continue
                 r = sqrt_rat(disc)
-                for z in ((-qb + r) / (2 * qa), (-qb - r) / (2 * qa)):
+                for z in (Fraction(-qb + r, 2 * qa),
+                          Fraction(-qb - r, 2 * qa)):
                     return _primitive_point((x, y, z))
     return None
 
@@ -656,8 +657,8 @@ def conic_has_point(c: ConicQ,
             return ConicPointResult(status="point",
                                     point=_primitive_point(e))
     d0, d1, d2 = diagonalize_pivoted(form).entries
-    a = -(d0 / d2)
-    b = -(d1 / d2)
+    a = -Fraction(d0, d2)
+    b = -Fraction(d1, d2)
     obstructed = []
     for place in _relevant_places([a, b]):
         if hilbert_symbol(a, b, place) == -1:

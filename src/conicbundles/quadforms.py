@@ -282,13 +282,13 @@ def mestre_core(cb: ConicBundle):
             "degenerate pivot: sigma12^2 - 4*sigma11*sigma22 = 0")
     _, delta = as_univariate(dehomogenize(discriminant_form(cb)), "t")
     delta = delta + [Fraction(0)] * (9 - len(delta))
-    p_low = [d * (-4) / c2 for d in delta]
+    p_low = [Fraction(d * -4, c2) for d in delta]
     B = p_low[8]
     A = p_low[7]
     if not B:
         raise MestreError("precondition failed: deg P < 8 "
                           "(leading coefficient vanishes)")
-    shift = -(A / (B * 8))
+    shift = -Fraction(A, B * 8)
     # R(u) = P(shift - u), expanded exactly
     r_low = [Fraction(0)] * 9
     pw = [Fraction(1)]  # powers of (shift - u) as coefficient lists in u
@@ -302,7 +302,7 @@ def mestre_core(cb: ConicBundle):
                 new[e] = new[e] + ce * shift
                 new[e + 1] = new[e + 1] - ce
             pw = new
-    t_low = [r / B for r in r_low]
+    t_low = [Fraction(r, B) for r in r_low]
     return {
         "P_low": p_low, "A": A, "B": B, "shift": shift,
         "T_low": t_low, "disc0": disc0, "c2": c2,
@@ -323,12 +323,13 @@ def mestre_normal_form(cb: ConicBundle):
         raise AssertionError("T failed to come out monic")
     if t_low[7] != 0:
         raise AssertionError("u^7 coefficient failed to vanish")
-    if not is_square_rat(1 / B):
+    inv_b = Fraction(1, B)
+    if not is_square_rat(inv_b):
         return MestreFailure(
             reason="hypotheses fail: leading coefficient not a square "
-                   "(1/B = %s)" % (1 / B), B=B)
-    xi = sqrt_rat(1 / B)
-    c = 1 / (core["disc0"] * B)
+                   "(1/B = %s)" % inv_b, B=B)
+    xi = sqrt_rat(inv_b)
+    c = Fraction(1, core["disc0"] * B)
     T = MultiPoly.from_univariate(("u",), "u", t_low)
     return MestreModel(T=T, c=c, shift=core["shift"], xi=xi, B=B,
                        A=core["A"],

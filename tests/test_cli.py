@@ -3,16 +3,25 @@ discriminant, diagonalization, residues, enumerate, cohomology,
 dominance, Cremona chain, degenerate, conic-point and Mestre normal
 form), and of the flags each command accepts."""
 
+import hashlib
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
 from conicbundles.brauer import no_section_certificate, t_text
 from conicbundles.bundles import (
     BundleError,
+    bundle_to_text,
     parse_bundle_text,
+    random_bundle,
     validate_bundle,
 )
 from conicbundles.cli import (
@@ -22,6 +31,7 @@ from conicbundles.cli import (
     EXIT_OK,
     main,
 )
+from conicbundles.families import DEGENERATION_PAIRS, DOMINANCE_PAIRS
 from conicbundles.plane import ConicQ
 from conicbundles.quadforms import brauer_model
 
@@ -133,6 +143,40 @@ def test_residues_text_pinned(capsys):
     for name, want in RESIDUES_TEXT.items():
         assert main(["residues", fixture_path(name)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == want
+
+
+# sha256 of the `residues` text of random_bundle((3, 1, 0), 1, -99, 99)
+# as printed when the contents were stripped by factoring, in about 20 s
+RESIDUES_99_SHA256 = (
+    "6b287342752681ceb1465c465976b2c441644d84b4d1d9341f8b2b611385f22f")
+
+
+def test_residues_on_a_99_bundle_in_bounded_time(capsys, tmp_path):
+    # its residue contents are s*r^2 with r of dozens of digits
+    path = tmp_path / "b310.cb"
+    path.write_text(bundle_to_text(random_bundle((3, 1, 0), 1, -99, 99)))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("residues took more than 5 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        code = main(["residues", str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == (
+        "certificate: place=t^8+168902/1072995*t^7-57898/153285*t^6"
+        "-3217678/1072995*t^5-2656424/1072995*t^4+472534/153285*t^3"
+        "+296530/214599*t^2+31765/30657*t-261707/214599"
+        " residue=961265990/214599*t^7+618991664/30657*t^6"
+        "+5566270316/214599*t^5+1437014767/214599*t^4-152779304/30657*t^3"
+        "+555033893/214599*t^2+142518875/30657*t+1064869319/214599"
+        " prime=23 root=11")
+    assert hashlib.sha256(out.encode()).hexdigest() == RESIDUES_99_SHA256
 
 
 def test_residues_strips_each_residue_once(capsys, monkeypatch):
@@ -520,3 +564,67 @@ def test_degenerate_contract(capsys):
     assert code == EXIT_INVALID and set(payload) == ERROR_KEYS
     assert "unknown degeneration" in payload["error"]
     assert_reruns_identical(capsys, argv, EXIT_INVALID)
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of the command in a new interpreter."""
+    root = Path(files("conicbundles")).parent
+    env = dict(os.environ, PYTHONPATH=str(root))
+    proc = subprocess.run([sys.executable, "-m", "conicbundles.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_holds_no_state(capsys):
+    # the parser is built once per process; runs through it in sequence
+    # (rejected, valid, another command, a default after a set flag)
+    # print what each prints in a process of its own
+    min844 = fixture_path("min844.cb")
+    sequence = (["residues", min844, "--prime-bound", "0"],
+                ["residues", min844, "--prime-bound", "0", "--output",
+                 "json"],
+                ["residues", min844, "--output", "json"],
+                ["conic-point", "--height-bound", "1", "1,0,1,0,0,-5"],
+                ["conic-point", "1,0,1,0,0,-5"],
+                ["validate", min844, "--output", "json"])
+    for argv in sequence:
+        code = main(argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == _fresh_process(argv), argv
+
+
+def _every_command_on_the_fixtures():
+    """Each of the 11 commands, on the shipped fixtures where it reads
+    a file."""
+    fixtures = [fixture_path(n) for n in ("min844.cb", "remark433222.cb",
+                                          "u12_template.cb")]
+    for cmd in ("validate", "discriminant", "diagonalize", "residues",
+                "mestre"):
+        for path in fixtures:
+            yield [cmd, path]
+    yield ["enumerate", "--d", "8"]
+    for weights in ("2,1,1", "2,2,0", "3,1,0", "4,0,0"):
+        yield ["cohomology", "--type", weights]
+    for name in DOMINANCE_PAIRS:
+        yield ["dominance", "--locus", name, "--seeds", "1"]
+    yield ["cremona-chain"]
+    yield ["cremona-chain", fixtures[2], "--seed", "3"]
+    for pair in DEGENERATION_PAIRS:
+        yield ["degenerate", "--pair", pair]
+    for coeffs in ("1,0,1,0,0,-5", "1,0,1,0,0,-3", "1/2,1,1/3,0,0,-5",
+                   "3,0,0,0,0,0"):
+        yield ["conic-point", coeffs]
+
+
+def test_no_output_has_a_decimal_number(capsys):
+    # every number the package prints is an integer or a fraction a/b;
+    # a quotient taken with / of two ints would print as a decimal
+    decimal = re.compile(r"\d\.\d")
+    commands = set()
+    for argv in _every_command_on_the_fixtures():
+        commands.add(argv[0])
+        for run in (argv, argv + ["--output", "json"]):
+            main(run)
+            out = capsys.readouterr()
+            assert not decimal.search(out.out + out.err), run
+    assert len(commands) == 11

@@ -131,6 +131,120 @@ def test_primitive_normalized_content():
     assert q.content() == 1
 
 
+# -- mixed int / Fraction coefficients ------------------------------------
+
+XYZ = ("x", "y", "z")
+
+
+def rand_mixed_poly(rng, variables, deg=3):
+    """Coefficients drawn half as ints, half as Fractions, some of
+    which are integral."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = [0] * len(variables)
+        for _ in range(rng.randint(0, deg)):
+            e[rng.randrange(len(variables))] += 1
+        if rng.random() < 0.5:
+            c = rng.randint(-6, 6)
+        else:
+            c = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return MultiPoly(variables, terms)
+
+
+def assert_stored_form(p):
+    """ints for integral coefficients, Fractions only with a real
+    denominator."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def to_sympy(sympy, p, gens):
+    out = sympy.Integer(0)
+    for e, c in p.terms.items():
+        mono = sympy.Rational(c.numerator, c.denominator)
+        for g, k in zip(gens, e):
+            mono *= g ** k
+        out += mono
+    return out
+
+
+def test_mixed_coefficients_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+    rng = random.Random(71)
+    x, y, z = (MultiPoly.variable(XYZ, v) for v in XYZ)
+    for _ in range(40):
+        a, b, c = (rand_mixed_poly(rng, XYZ) for _ in range(3))
+        sa, sb, sc = (to_sympy(sympy, p, gens) for p in (a, b, c))
+        sub = a.substitute({"x": b, "y": c})
+        half = Fraction(1, 2)
+        checks = ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb),
+                  (a * half, sa / 2), ((a * b * 2).exact_div(b * 2), sa),
+                  (sub, sa.subs({gens[0]: sb, gens[1]: sc},
+                                simultaneous=True)))
+        for got, want in checks:
+            assert_stored_form(got)
+            assert sympy.expand(to_sympy(sympy, got, gens) - want) == 0
+        pt = {"x": rng.randint(-3, 3), "y": Fraction(rng.randint(-3, 3), 2),
+              "z": Fraction(rng.randint(1, 5), 3)}
+        got = a.evaluate(pt)
+        assert type(got) in (int, Fraction) and got == sa.subs(
+            {g: sympy.Rational(str(pt[v])) for g, v in zip(gens, XYZ)})
+        if a:
+            cont, prim = sympy.expand(sa).as_content_primitive()
+            assert a.content() == Fraction(int(cont.p), int(cont.q))
+            norm = a.primitive_normalized()
+            assert_stored_form(norm)
+            assert all(type(k) is int for k in norm.terms.values())
+            lead = sympy.Poly(prim, *gens).LC(order="grlex")
+            assert sympy.expand(to_sympy(sympy, norm, gens)
+                                - prim * sympy.sign(lead)) == 0
+    # sums and products of proper Fractions that come out integral
+    p = x * Fraction(1, 2) + y * Fraction(3, 4)
+    for q in (p + x * Fraction(1, 2), p * 4, p * (x * 2 + z * 4),
+              (p * p).exact_div(p), -p - p):
+        assert_stored_form(q)
+    assert (p * 4).terms == {(1, 0, 0): 2, (0, 1, 0): 3}
+
+
+def test_float_coefficients_are_refused():
+    from conicbundles.exactmath.multipoly import _coerce
+    with pytest.raises(TypeError):
+        _coerce(0.5)
+    assert _coerce(Fraction(6, 3)) == 2 and type(_coerce(Fraction(6, 3))) \
+        is int
+    x = MultiPoly.variable(XY, "x")
+    for bad in (lambda: x * 0.5, lambda: MultiPoly.const(XY, 1.0),
+                lambda: x.evaluate({"x": 0.5})):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_rank_of_int_and_mixed_rows_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(73)
+    for trial in range(30):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        if n > 2:
+            # a planted dependency: the last row is a combination
+            rows[-1] = [rows[0][j] * 2 - rows[1][j] for j in range(m)]
+        if trial % 2:
+            # mixed rows: some entries Fractions, some of them integral
+            rows = [[Fraction(c, rng.choice((1, 2, 5))) if rng.random() < 0.4
+                     else c for c in row] for row in rows]
+        want = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                              for c in row] for row in rows]).rank()
+        before = [list(row) for row in rows]
+        assert mat_rank(rows) == want
+        assert rows == before  # the caller's rows are not touched
+        if n == m:
+            assert mat_det(rows) == Fraction(str(sympy.Matrix(
+                [[sympy.Rational(c.numerator, c.denominator) for c in row]
+                 for row in rows]).det()))
+
+
 def test_str_parse_round_trip():
     rng = random.Random(19)
     for _ in range(40):

@@ -116,6 +116,53 @@ def test_squarefree_part_against_sympy():
     assert squarefree_part_int(PSI12 * 4) == PSI12
 
 
+def _sympy_squarefree_part(n):
+    out = -1 if n < 0 else 1
+    for p, e in _sympy_factorization(abs(n)).items():
+        if e % 2:
+            out *= p
+    return out
+
+
+def test_squarefree_part_of_cofactors_above_the_trial_bound(monkeypatch):
+    # trial division stops at 10^5; what is left is a square (s*r^2),
+    # p*q below 10^15, p^2, or a cofactor that still has to be factored
+    import conicbundles.exactmath.univariate as univariate
+    rng = random.Random(408)
+
+    def prime(lo, hi):
+        return int(sympy.nextprime(rng.randrange(lo, hi)))
+
+    real = univariate.factorize
+    factored = []
+
+    def counting(m):
+        factored.append(m)
+        return real(m)
+
+    monkeypatch.setattr(univariate, "factorize", counting)
+    small = list(sympy.primerange(2, 1000))
+    for _ in range(4):
+        # s has only small prime factors; r is a product of two 20-digit
+        # primes, out of reach of rho, and cannot change the result
+        s = rng.choice((-1, 1))
+        for _ in range(rng.randint(0, 6)):
+            s *= rng.choice(small)
+        r = prime(10**19, 10**20) * prime(10**19, 10**20)
+        assert squarefree_part_int(s * r * r) == _sympy_squarefree_part(s)
+        p, q = prime(10**5, 3 * 10**7), prime(10**5, 3 * 10**7)
+        assert p * q < 10**15
+        for n in (p * q * s, p * s, -p * p * 12 * s):
+            assert squarefree_part_int(n) == _sympy_squarefree_part(n), n
+    assert not factored
+    # cofactors above 10^15 that are not squares are factored
+    p, q, r = (prime(10**5, 10**6) for _ in range(3))
+    for n in (p * q * r ** 3, p * p * q * 10):
+        factored.clear()
+        assert squarefree_part_int(n) == _sympy_squarefree_part(n)
+        assert len(factored) == 1
+
+
 def _roots_via_sympy(coeffs):
     t = sympy.Symbol("t")
     poly = sympy.Poly([int(c) for c in reversed(coeffs)], t)
