@@ -43,9 +43,9 @@ from .exactmath.modular import (
     squarefree_mod_p,
 )
 from .exactmath.univariate import (
+    _divides,
     as_univariate,
     squarefree_part_int,
-    udivmod,
     uexact_div,
     ugcd_monic,
     uinvmod,
@@ -55,6 +55,7 @@ from .exactmath.univariate import (
     upowmod,
     uprimitive,
     urational_roots,
+    uscale,
     utrim,
     yun_squarefree,
 )
@@ -167,15 +168,22 @@ class NoSectionCertificate:
 # -- places -------------------------------------------------------------
 
 def _strip_all(p, f):
-    """(multiplicity of f in p, cofactor)."""
+    """(multiplicity of f in p, cofactor), by exact division of the
+    primitive parts in Z[t], whose quotients stay primitive (Gauss's
+    lemma); the cofactor is rescaled once at the end."""
+    P, F = uprimitive(p), uprimitive(f)
     count = 0
-    while len(p) >= len(f):
-        q, r = udivmod(p, f)
-        if r:
+    while len(P) >= len(F):
+        q = _divides(F, P)
+        if q is None:
             break
-        p = q
+        P = q
         count += 1
-    return count, p
+    if not count:
+        return 0, p
+    # p / f^count has the leading coefficient p[-1] / f[-1]^count
+    scale = Fraction(p[-1], P[-1] * f[-1] ** count)
+    return count, P if scale == 1 else uscale(P, scale)
 
 
 def _coprime_basis(polys):
@@ -226,7 +234,7 @@ def places_of_pair(pair: BrauerPair,
     for f in _coprime_basis(pool):
         cof = f
         for r in urational_roots(f):
-            lin = (-r, Fraction(1))
+            lin = (-r, 1)
             cof = uexact_div(cof, list(lin))
             if keep(lin):
                 places.append(Place(f=lin))
@@ -267,8 +275,8 @@ def _residue_value(a_pair, b_pair, f):
     vb_d, db = _strip_all(db, f)
     va = va_n - va_d
     vb = vb_n - vb_d
-    num_acc = [Fraction(1)]
-    den_acc = [Fraction(1)]
+    num_acc = [1]
+    den_acc = [1]
     for poly, e in ((na, vb), (da, -vb), (db, va), (nb, -va)):
         if e > 0:
             num_acc = umod(umul(num_acc, upowmod(poly, e, f)), f)
@@ -288,9 +296,9 @@ def _reverse_pair(num, den):
     rn = list(reversed(num))
     rd = list(reversed(den))
     if dd > dn:
-        rn = [Fraction(0)] * (dd - dn) + rn
+        rn = [0] * (dd - dn) + rn
     elif dn > dd:
-        rd = [Fraction(0)] * (dn - dd) + rd
+        rd = [0] * (dn - dd) + rd
     return utrim(rn), utrim(rd)
 
 
@@ -305,7 +313,7 @@ def residue2(pair: BrauerPair, place: Place) -> ResidueClass:
     if place.is_infinite:
         a_parts = _reverse_pair(*a_parts)
         b_parts = _reverse_pair(*b_parts)
-        f = (Fraction(0), Fraction(1))
+        f = (0, 1)
     va, vb, value = _residue_value(a_parts, b_parts, list(f))
     return ResidueClass(place=place, value=tuple(value), v_a=va, v_b=vb)
 

@@ -199,10 +199,11 @@ def validate_bundle(cb: ConicBundle) -> ConicBundle:
 def half_gram_det(a0, a1, a2, a3, a4, a5):
     """Determinant of the Gram matrix of a0*y0^2 + a1*y0*y1 + a2*y0*y2
     + a3*y1^2 + a4*y1*y2 + a5*y2^2 (cross terms halved): a0*a3*a5 for
-    a diagonal form."""
-    q = Fraction(1, 4)
-    return (a0 * a3 * a5 - a0 * a4 * a4 * q - a1 * a1 * a5 * q
-            + a1 * a2 * a4 * q - a2 * a2 * a3 * q)
+    a diagonal form.  It is computed as 4 * det, integral for integral
+    coefficients, and scaled by 1/4 once."""
+    det4 = (a0 * (a3 * a5 * 4 - a4 * a4) - a1 * (a1 * a5 - a2 * a4)
+            - a2 * a2 * a3)
+    return det4 * Fraction(1, 4)
 
 
 def discriminant_form(cb: ConicBundle) -> MultiPoly:

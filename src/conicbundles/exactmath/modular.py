@@ -5,7 +5,8 @@ Cantor-Zassenhaus root extraction), the good-reduction test and the
 Hensel lift of a simple root from p to a power of p.
 
 F_p[t] polynomials are lists of ints in [0, p), low degree first, no
-trailing zeros.
+trailing zeros.  Products and remainders reduce lazily: each output
+coefficient is taken mod p once, after the loop that accumulates it.
 """
 
 from __future__ import annotations
@@ -217,25 +218,26 @@ def pmod_mul(a, b, p):
         if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return ptrim(out)
+            out[i + j] += x * y
+    return ptrim([c % p for c in out])
 
 
 def pmod_divmod(a, b, p):
+    """Quotient and remainder of a by b in F_p[t].  Only the leading
+    coefficient is reduced inside the loop; the remainder is reduced
+    once at the end."""
     if not b:
         raise ZeroDivisionError("F_p[t] division by zero")
-    r = list(a)
-    db = len(b) - 1
+    d = len(b) - 1
     inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        c = r[-1] * inv % p
-        q[k] = c
-        for j in range(db + 1):
-            r[k + j] = (r[k + j] - c * b[j]) % p
-        ptrim(r)
-    return ptrim(q), r
+    r = list(a)
+    q = [0] * max(0, len(r) - d)
+    for k in range(len(r) - 1 - d, -1, -1):
+        c = q[k] = r[k + d] * inv % p
+        if c:
+            for j in range(d):
+                r[k + j] -= c * b[j]
+    return ptrim(q), ptrim([c % p for c in r[:d]])
 
 
 def pmod_gcd(a, b, p):
@@ -249,14 +251,18 @@ def pmod_gcd(a, b, p):
 
 
 def pmod_pow(base, e: int, mod, p):
-    """base^e modulo the polynomial mod, coefficients mod p."""
-    result = [1]
-    base = pmod_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
+    """base^e modulo the polynomial mod, coefficients mod p, by
+    left-to-right square-and-multiply modulo mod made monic once: a
+    linear base costs O(deg mod) per multiplication."""
+    if not e:
+        return [1]
+    inv = pow(mod[-1], -1, p)
+    mod = [c * inv % p for c in mod]
+    base = result = pmod_divmod(base, mod, p)[1]
+    for bit in bin(e)[3:]:
+        result = pmod_divmod(pmod_mul(result, result, p), mod, p)[1]
+        if bit == "1":
             result = pmod_divmod(pmod_mul(result, base, p), mod, p)[1]
-        base = pmod_divmod(pmod_mul(base, base, p), mod, p)[1]
-        e >>= 1
     return result
 
 

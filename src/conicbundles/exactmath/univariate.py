@@ -1,9 +1,12 @@
 """The package's only dense univariate arithmetic over Q: division,
 gcd, square-free decomposition, rational roots, resultants, and powers
 and inverses modulo a polynomial.
-Polynomials are coefficient lists of Fractions (low to high, no
-trailing zeros); wrappers accept MultiPoly values that use a single
-variable.
+Polynomials are coefficient lists, low to high, no trailing zeros;
+wrappers accept MultiPoly values that use a single variable.  As in
+MultiPoly, a coefficient is an int when it is integral and a Fraction
+only when it has a denominator other than 1, so integral inputs stay in
+integer arithmetic: division by a leading coefficient 1 is skipped and
+any other inverse is Fraction(1, c), never 1 / c.
 
 Gcds are computed by Brown's dense modular algorithm on the primitive
 integer parts, modulo a fixed sequence of word-size primes, and a
@@ -109,70 +112,70 @@ def utrim(a):
     return a
 
 
+def _settle(a):
+    """Turn the integral Fractions that Fraction arithmetic can leave
+    into ints, in place."""
+    for i, c in enumerate(a):
+        if type(c) is Fraction and c.denominator == 1:
+            a[i] = c.numerator
+    return a
+
+
 def usub(a, b):
     n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0))
-           - (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-    return utrim(out)
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(n)]
+    return _settle(utrim(out))
 
 
 def umul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return utrim(out)
+    return _settle(utrim(out))
 
 
 def udivmod(a, b):
+    """Quotient and remainder; the leading coefficient of each partial
+    remainder cancels exactly."""
     if not b:
         raise ZeroDivisionError("univariate division by zero")
-    r = utrim([Fraction(c) for c in a])
-    b = [Fraction(c) for c in b]
+    r = utrim(list(a))
     db = len(b) - 1
-    inv = 1 / b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
+    inv = None if b[-1] == 1 else Fraction(1, b[-1])
+    q = [0] * max(0, len(r) - db)
+    while len(r) > db:
         k = len(r) - 1 - db
-        c = r[-1] * inv
-        q[k] = c
-        for j in range(db + 1):
-            r[k + j] -= c * b[j]
-        utrim(r)
-        if len(r) - 1 >= k + db:
+        c = r[-1] if inv is None else r[-1] * inv
+        if c * b[-1] != r[-1]:
             raise ArithmeticError("division failed to reduce degree")
-    return utrim(q), r
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+        r.pop()
+        utrim(r)
+    return _settle(utrim(q)), _settle(r)
 
 
 def umod(a, b):
-    """Remainder of a by b; no quotient is built and the coefficients
-    are taken as they are (Fractions)."""
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    r = list(a)
-    db = len(b) - 1
-    inv = 1 / Fraction(b[-1])
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        c = r[-1] * inv
-        for j in range(db + 1):
-            r[k + j] -= c * b[j]
-        # the leading coefficient cancels exactly
-        r.pop()
-        utrim(r)
-    return r
+    return udivmod(a, b)[1]
+
+
+def uscale(a, c):
+    """The list a times the number c."""
+    return _settle([x * c for x in a])
 
 
 def umonic(a):
-    a = utrim([Fraction(c) for c in a])
-    if not a:
+    a = utrim(list(a))
+    if not a or a[-1] == 1:
         return a
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
+    return uscale(a, Fraction(1, a[-1]))
 
 
 _GCD_PRIMES: list = []
@@ -208,7 +211,7 @@ def ugcd_monic(a, b):
     if not B:
         return umonic(a)
     if len(A) == 1 or len(B) == 1:
-        return [Fraction(1)]
+        return [1]
     g = gcd(A[-1], B[-1])
     modulus, image = 1, None
     for p in _gcd_primes():
@@ -216,7 +219,7 @@ def ugcd_monic(a, b):
             continue
         gp = pmod_gcd([c % p for c in A], [c % p for c in B], p)
         if len(gp) == 1:
-            return [Fraction(1)]
+            return [1]
         if image is not None and len(gp) > len(image):
             continue
         gp = [g * c % p for c in gp]
@@ -229,55 +232,57 @@ def ugcd_monic(a, b):
             modulus *= p
         h = uprimitive([c - modulus if 2 * c > modulus else c
                         for c in image])
-        if _divides(h, A) and _divides(h, B):
-            return [Fraction(c, h[-1]) for c in h]
+        if _divides(h, A) is not None and _divides(h, B) is not None:
+            return umonic(h)
 
 
-def _divides(d, a) -> bool:
-    """True iff the integer list d divides the integer list a in Z[t]."""
+def _divides(d, a):
+    """The quotient a / d when the integer list d divides the integer
+    list a in Z[t], else None."""
     r = list(a)
     n = len(d) - 1
+    q = [0] * max(0, len(r) - n)
     while len(r) > n:
-        q, m = divmod(r[-1], d[-1])
+        c, m = divmod(r[-1], d[-1])
         if m:
-            return False
+            return None
         k = len(r) - 1 - n
+        q[k] = c
         for j in range(n):
-            r[k + j] -= q * d[j]
+            r[k + j] -= c * d[j]
         r.pop()
         utrim(r)
-    return not r
+    return None if r else q
 
 
 def uinvmod(a, f):
     """Inverse of a modulo f over Q, by the extended Euclidean
     algorithm; ZeroDivisionError when a and f are not coprime."""
     r0, r1 = list(f), umod(a, f)
-    s0, s1 = [], [Fraction(1)]
+    s0, s1 = [], [1]
     while r1:
         q, r2 = udivmod(r0, r1)
         r0, r1 = r1, r2
         s0, s1 = s1, usub(s0, umul(q, s1))
     if len(r0) != 1:
         raise ZeroDivisionError("element not invertible modulo f")
-    inv = 1 / r0[0]
-    return umod([c * inv for c in s0], f)
+    return umod(uscale(s0, Fraction(1, r0[0])), f)
 
 
 def upowmod(a, e, f):
-    """a^e modulo f for e >= 0, by repeated squaring."""
-    out = [Fraction(1)]
-    a = umod(a, f)
-    while e:
-        if e & 1:
+    """a^e modulo f for e >= 0, by left-to-right square-and-multiply."""
+    if not e:
+        return [1]
+    a = out = umod(a, f)
+    for bit in bin(e)[3:]:
+        out = umod(umul(out, out), f)
+        if bit == "1":
             out = umod(umul(out, a), f)
-        a = umod(umul(a, a), f)
-        e >>= 1
     return out
 
 
 def uderiv(a):
-    return utrim([Fraction(a[i]) * i for i in range(1, len(a))])
+    return _settle(utrim([a[i] * i for i in range(1, len(a))]))
 
 
 def uexact_div(a, b):
@@ -290,7 +295,7 @@ def uexact_div(a, b):
 def uprimitive(a):
     """The coprime integer coefficients of a nonzero rational multiple
     of a, with positive leading one."""
-    a = utrim([Fraction(c) for c in a])
+    a = utrim(list(a))
     if not a:
         return []
     den = lcm(*(c.denominator for c in a))
@@ -333,9 +338,9 @@ def urational_roots(a):
     g(x) = c^(n-1) sf(x/c), c = lc(sf), and each is a simple root mod
     the first odd prime q of good reduction, lifted past twice Cauchy's
     bound 1 + max |g_i| and divided out as often as it is a root."""
-    a = utrim([Fraction(c) for c in a])
+    a = utrim(list(a))
     k = next((i for i, c in enumerate(a) if c), 0)
-    roots = [Fraction(0)] * k
+    roots = [0] * k
     p = uprimitive(a[k:])
     if len(p) <= 1:
         return roots
@@ -349,7 +354,7 @@ def urational_roots(a):
         while len(p) > 1 and _is_root(p, r.numerator, r.denominator):
             roots.append(r)
             p = uprimitive(uexact_div(p, [-r.numerator, r.denominator]))
-    return sorted(roots)
+    return sorted(_settle(roots))
 
 
 def _is_root(p, num: int, den: int) -> bool:
@@ -365,8 +370,8 @@ def _is_root(p, num: int, den: int) -> bool:
 def uresultant(a, b) -> Fraction:
     """Resultant of two univariate polynomials via Bareiss elimination
     on the Sylvester matrix."""
-    a = utrim([Fraction(c) for c in a])
-    b = utrim([Fraction(c) for c in b])
+    a = utrim(list(a))
+    b = utrim(list(b))
     if not a or not b:
         return Fraction(0)
     m, n = len(a) - 1, len(b) - 1
@@ -375,12 +380,12 @@ def uresultant(a, b) -> Fraction:
     size = m + n
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * size
+        row = [0] * size
         for j, c in enumerate(reversed(a)):
             row[i + j] = c
         rows.append(row)
     for i in range(m):
-        row = [Fraction(0)] * size
+        row = [0] * size
         for j, c in enumerate(reversed(b)):
             row[i + j] = c
         rows.append(row)
@@ -389,7 +394,7 @@ def uresultant(a, b) -> Fraction:
 
 
 def udiscriminant(a) -> Fraction:
-    a = utrim([Fraction(c) for c in a])
+    a = utrim(list(a))
     n = len(a) - 1
     if n < 1:
         return Fraction(0)
@@ -399,7 +404,7 @@ def udiscriminant(a) -> Fraction:
 
 
 def is_squarefree(a) -> bool:
-    a = utrim([Fraction(c) for c in a])
+    a = utrim(list(a))
     if len(a) <= 1:
         return True
     return len(ugcd_monic(a, uderiv(a))) == 1
@@ -419,10 +424,10 @@ def as_univariate(p: MultiPoly, var: str | None = None):
         raise ValueError("polynomial does not live in %s" % var)
     if var not in p.vars:
         c = p.constant_value()
-        return var, ([Fraction(c)] if c else [])
+        return var, ([c] if c else [])
     i = p.vars.index(var)
     d = p.degree_in(var)
-    out = [Fraction(0)] * (d + 1) if d >= 0 else []
+    out = [0] * (d + 1) if d >= 0 else []
     for e, c in p.terms.items():
         out[e[i]] += c
     return var, utrim(out)

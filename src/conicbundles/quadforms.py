@@ -59,10 +59,16 @@ class QuadraticForm3:
         """Symmetric matrix G with form(v) = v^T G v; off-diagonal
         entries carry the 1/2."""
         a0, a1, a2, a3, a4, a5 = self.alpha
+        h1, h2, h4 = a1 * HALF, a2 * HALF, a4 * HALF
+        return [[a0, h1, h2], [h1, a3, h4], [h2, h4, a5]]
+
+    def double_gram(self):
+        """2G, integral for integral coefficients."""
+        a0, a1, a2, a3, a4, a5 = self.alpha
         return [
-            [a0, a1 * HALF, a2 * HALF],
-            [a1 * HALF, a3, a4 * HALF],
-            [a2 * HALF, a4 * HALF, a5],
+            [a0 * 2, a1, a2],
+            [a1, a3 * 2, a4],
+            [a2, a4, a5 * 2],
         ]
 
     def value(self, v):
@@ -121,8 +127,8 @@ class DiagonalForm:
 def diagonalize(q: QuadraticForm3) -> DiagonalForm:
     """Exact orthogonal basis for a form with invertible upper-left
     2x2 block.  The entries are (a0, a0*n, 4*n*disc) with
-    n = 4*a0*a3 - a1^2; the congruence is re-verified before
-    returning."""
+    n = 4*a0*a3 - a1^2; the congruence B^T G B = diag is re-verified
+    before returning, as B^T (2G) B = 2 diag, which stays integral."""
     a0, a1, a2, a3, a4, a5 = q.alpha
     if not a0:
         raise DegeneratePivot("degenerate pivot: the y0^2 coefficient is zero")
@@ -141,9 +147,9 @@ def diagonalize(q: QuadraticForm3) -> DiagonalForm:
     e3 = (a1 * a4 - a2 * a3 * 2, a1 * a2 - a0 * a4 * 2, n)
     basis = (e1, e2, e3)
     entries = (d0, d1, d2)
-    # B^T G B is symmetric because G is: form G*B once, then check the
-    # entries on and above the diagonal
-    g = q.gram()
+    # B^T (2G) B is symmetric because G is: form 2G*B once, then check
+    # the entries on and above the diagonal
+    g = q.double_gram()
     gb = [[g[r][0] * col[0] + g[r][1] * col[1] + g[r][2] * col[2]
            for r in range(3)] for col in basis]
     for i in range(3):
@@ -151,7 +157,7 @@ def diagonalize(q: QuadraticForm3) -> DiagonalForm:
             got = (basis[i][0] * gb[j][0] + basis[i][1] * gb[j][1]
                    + basis[i][2] * gb[j][2])
             if i == j:
-                if got != entries[i]:
+                if got != entries[i] * 2:
                     raise AssertionError(
                         "congruence check failed on diagonal entry %d" % i)
             elif bool(got):

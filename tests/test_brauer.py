@@ -17,6 +17,7 @@ from conicbundles.brauer import (
     places_of_pair,
     residue2,
     residues_all,
+    _strip_all,
     valuation,
     verify_certificate,
 )
@@ -34,7 +35,18 @@ from conicbundles.exactmath import (
     RatFunc,
     parse_poly,
 )
-from conicbundles.exactmath.univariate import as_univariate, ugcd_monic, umod
+from conicbundles.exactmath.modular import (
+    legendre,
+    pmod_eval,
+    pmod_reduce_coeffs,
+    primes_from,
+)
+from conicbundles.exactmath.univariate import (
+    as_univariate,
+    ugcd_monic,
+    umod,
+    umul,
+)
 from conicbundles.quadforms import BrauerPair, brauer_model
 
 T = ("t",)
@@ -107,6 +119,22 @@ def test_valuations():
     assert valuation(rf("5"), Place(f=None)) == 0
     with pytest.raises(ValueError):
         valuation(rf("0"), Place(f=(Fraction(0), Fraction(1))))
+
+
+def test_strip_all_with_a_non_monic_factor():
+    # p = f^k * g exactly, also when f is not monic or not integral
+    rng = random.Random(409)
+    for _ in range(40):
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 3))] + [rng.choice((-6, 2, 3))]
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [
+            Fraction(rng.choice((-5, 1, 7)), rng.randint(1, 3))]
+        if umod(g, f):
+            k = rng.randint(0, 3)
+            p = g
+            for _ in range(k):
+                p = umul(p, f)
+            assert _strip_all(p, f) == (k, g), (f, g, k)
 
 
 # -- residues ------------------------------------------------------------
@@ -505,3 +533,55 @@ def test_verify_rejects_a_witness_at_a_double_root():
     for p, root in ((w.p, w.root + 1), (w.p * w.p, w.root)):
         assert not verify_certificate(NoSectionCertificate(
             place=place, residue=rc, witness=PrimeWitness(p=p, root=root)))
+
+
+def test_certificate_recheck_runs_without_the_search_kernels(monkeypatch):
+    # verify_certificate re-checks with the Euler criterion and pmod_eval
+    # only: with the search's F_p[t] and Q[t] kernels raising it still
+    # accepts certificates found before, and refuses them with a root
+    # or a prime changed to one that cannot witness
+    import conicbundles.brauer as brauer
+    import conicbundles.exactmath.modular as modular
+    import conicbundles.exactmath.univariate as univariate
+    bundles = [random_bundle(w, s)
+               for w in ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
+               for s in (1, 2, 3)]
+    certs = [no_section_certificate(cb) for cb in bundles
+             if not cb.has_flag("rational-by-section")]
+    certs = [c for c in certs if c is not None]
+    assert any(c.witness.root is not None for c in certs)
+
+    def refuted(p, root, rc):
+        """p or root cannot witness for rc."""
+        if rc.is_rational:
+            m = rc.value[0].numerator * rc.value[0].denominator
+            return m % p == 0 or legendre(m, p) == 1
+        return pmod_eval(pmod_reduce_coeffs(rc.place.f, p), root, p) != 0
+
+    changed = []
+    for cert in certs:
+        w, rc = cert.witness, cert.residue
+        q = next(q for q in primes_from(w.p + 1)
+                 if all(c.denominator % q for c in rc.value + rc.place.f)
+                 and refuted(q, w.root, rc))
+        bad = [PrimeWitness(p=q, root=w.root),
+               PrimeWitness(p=w.p * q, root=w.root)]
+        if w.root is not None:
+            bad.append(PrimeWitness(p=w.p, root=next(
+                r for r in range(w.p) if refuted(w.p, r, rc))))
+        changed.append((cert, bad))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the re-check ran a search kernel")
+
+    for module, name in ((modular, "pmod_pow"), (modular, "pmod_mul"),
+                         (modular, "pmod_divmod"), (modular, "roots_mod_p"),
+                         (univariate, "umod"), (univariate, "udivmod"),
+                         (brauer, "roots_mod_p"), (brauer, "umod")):
+        monkeypatch.setattr(module, name, forbidden)
+    for cert, bad in changed:
+        assert verify_certificate(cert)
+        for w in bad:
+            assert not verify_certificate(NoSectionCertificate(
+                place=cert.place, residue=cert.residue, witness=w)), (
+                cert.serialize(), w)

@@ -179,6 +179,73 @@ def test_residues_on_a_99_bundle_in_bounded_time(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == RESIDUES_99_SHA256
 
 
+# exit code and sha256 of the stdout of `residues` in text and in JSON,
+# run on a file of that name in the working directory
+RESIDUES_SHA256 = {
+    "min844.cb": (
+        0,
+        "1295ed1ce53d8ab940e841de283373230a1e1c398979f7435fcb0f803efa6046",
+        "71854ee8d7409499bd7934e4552749ca8989a1c1e13a5ac31ee4c075c049f6e3"),
+    "remark433222.cb": (
+        0,
+        "dc6963903e691b698b909b218b7de90a2e7f10fc60a4ff0514cc2ff38cea75db",
+        "22adb4d4d3f789bcefa406fc5c204f405f05003b62551aa121f9273e3797cee9"),
+    "b211_9.cb": (
+        0,
+        "7ef1e3b105e22fac449858e0e5e8e709d466fca7033ea0a108a400dec2f827e4",
+        "acb7969c2d24e067656dbb03e64c28c9ab20ecba2974d20e363e85f7a9ad7abc"),
+    "b211_99.cb": (
+        0,
+        "6cbfaae48a7b4a191e3c13ce87b398d8083fad53e287369a43e022524cbad50b",
+        "4e8cb8c69d81b81a5b931a89cb28d4bff4e1bc411c883565ebbe60a756eec435"),
+    "b220_9.cb": (
+        0,
+        "9357efdd8f2ba66486814fe1059c26f78f332e469d5a5188017325bfe6a57816",
+        "8a8e1acd39e1cfc2e1fe23ff23c3e27e4e0f912baab7e995eb2d72c8658ee283"),
+    "b220_99.cb": (
+        0,
+        "9c3b4d4f9cbf9d2ef308dc3034ead7d9af9e07fc0a46bbceec7146b0191f84ce",
+        "b6d23dddd3cf1b8cf83d973020f40a21e9c67dfcfef2a8c4ebe06a7f49aadfe6"),
+    "b310_9.cb": (
+        0,
+        "e7e19c1d6691481b6708cebb2e7d3793ffbb1f3e2c70e5fe98af32e3011ba153",
+        "6e587aa11f8fd8739e5270e458e4e0eed7a9807c421df8e71c6f74188376e474"),
+    "b310_99.cb": (
+        0,
+        RESIDUES_99_SHA256,
+        "6378e82e6c931dcfd2bd5ee130542eb2cbfc31e8f77f25d40811c06ac091dfa3"),
+    "b400_9.cb": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "56a3b2beb84f697119a9191da1364e959dc775834084118a53ad6297f048d2bf"),
+    "b400_99.cb": (
+        0,
+        "7043811e54dd664884ffd8722b267e6f897ca38b15a280df3438ea7231796b99",
+        "457a984ed97d13669a2269f141d56baae1cd89dca4450586113b4fae261c1ef9"),
+}
+
+
+def test_residues_text_and_json_pinned_by_sha256(capsys, tmp_path,
+                                                 monkeypatch):
+    # the two fixtures and random_bundle(w, 1, -r, r) for the four
+    # degree-8 types at r = 9 and 99; a change in how a coefficient is
+    # held (3/1 printed for 3) changes the hash
+    monkeypatch.chdir(tmp_path)
+    for name in ("min844.cb", "remark433222.cb"):
+        (tmp_path / name).write_text(Path(fixture_path(name)).read_text())
+    for w in ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0)):
+        for r in (9, 99):
+            (tmp_path / ("b%d%d%d_%d.cb" % (w + (r,)))).write_text(
+                bundle_to_text(random_bundle(w, 1, -r, r)))
+    for name, want in RESIDUES_SHA256.items():
+        code, *hashes = want
+        for output, sha in zip(("text", "json"), hashes):
+            assert main(["residues", name, "--output", output]) == code
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == sha, (
+                name, output)
+
+
 def test_residues_strips_each_residue_once(capsys, monkeypatch):
     # stripping squares factors integers; the table row, the certificate
     # line and the payload share one representative per place, so each

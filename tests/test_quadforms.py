@@ -441,7 +441,7 @@ def test_small_forms_all_diagonalize():
 
 def test_congruence_check_raises_on_wrong_gram(monkeypatch):
     q = QuadraticForm3((1, 1, 0, 2, 1, 3))
-    gram = QuadraticForm3.gram
+    gram = QuadraticForm3.double_gram
     assert diagonalize(q).entries[0] == 1
 
     def bumped(entry):
@@ -454,10 +454,10 @@ def test_congruence_check_raises_on_wrong_gram(monkeypatch):
             return g
         return fake
 
-    monkeypatch.setattr(QuadraticForm3, "gram", bumped((2, 2)))
+    monkeypatch.setattr(QuadraticForm3, "double_gram", bumped((2, 2)))
     with pytest.raises(AssertionError, match="diagonal entry 2"):
         diagonalize(q)
-    monkeypatch.setattr(QuadraticForm3, "gram", bumped((0, 2)))
+    monkeypatch.setattr(QuadraticForm3, "double_gram", bumped((0, 2)))
     with pytest.raises(AssertionError, match="not orthogonal"):
         diagonalize(q)
 

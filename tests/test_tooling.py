@@ -79,3 +79,21 @@ def test_every_definition_is_referenced_or_allowlisted():
     assert not set(UNREFERENCED) - unreferenced, (
         "allowlisted but now referenced or gone",
         sorted(set(UNREFERENCED) - unreferenced))
+
+
+# modules whose coefficients may be ints: there 1 / x is a float
+INT_COEFFICIENT_MODULES = ("exactmath/univariate.py", "exactmath/modular.py",
+                           "brauer.py", "quadforms.py")
+
+
+def test_no_true_division_of_an_int_literal():
+    # an inverse is Fraction(1, x): 1 / x is a float once x is an int
+    found = []
+    for name in INT_COEFFICIENT_MODULES:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.left, ast.Constant)
+                    and type(node.left.value) is int):
+                found.append("%s:%d" % (name, node.lineno))
+    assert not found, ("write Fraction(n, x) for n / x", found)

@@ -11,14 +11,20 @@ from conicbundles.exactmath import MultiPoly, poly_gcd
 from conicbundles.exactmath import univariate
 from conicbundles.exactmath.modular import (
     hensel_root,
+    irreducible_mod_p,
     legendre,
+    pmod_divmod,
+    pmod_mul,
+    pmod_pow,
     primes_from,
     roots_mod_p,
     squarefree_mod_p,
 )
 from conicbundles.exactmath.univariate import (
+    as_univariate,
     udiscriminant,
     udivmod,
+    uderiv,
     ugcd_monic,
     uinvmod,
     umod,
@@ -83,8 +89,9 @@ def test_udivmod_and_umod_against_sympy():
         assert q == _from_sympy(sq), (a, b)
         assert r == _from_sympy(sr), (a, b)
         assert umod(a, b) == r, (a, b)
-    # integer inputs are coerced by udivmod
-    assert udivmod([1, 2, 1], [1, 1]) == ([Fraction(1), Fraction(1)], [])
+    # integer inputs over a monic divisor stay ints
+    q, r = udivmod([1, 2, 1], [1, 1])
+    assert q == [1, 1] and r == [] and all(type(c) is int for c in q)
     with pytest.raises(ZeroDivisionError):
         udivmod([Fraction(1)], [])
     with pytest.raises(ZeroDivisionError):
@@ -219,6 +226,109 @@ def test_umonic_and_usub():
         assert usub(a, a) == []
     assert umonic([3, 6, 0, 0]) == [Fraction(1, 2), Fraction(1)]
     assert umonic([0, 0]) == []
+
+
+def _assert_stored(coeffs):
+    """Every coefficient is an int, or a Fraction with a denominator
+    other than 1; none is a float."""
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction
+                                  and c.denominator != 1), coeffs
+
+
+def _rand_mixed(rng, deg):
+    """Exact degree deg, each coefficient an int or a Fraction."""
+    out = [rng.randint(-9, 9) if rng.random() < 0.6
+           else Fraction(rng.randint(-9, 9), rng.randint(2, 6))
+           for _ in range(deg + 1)]
+    while not out[-1]:
+        out[-1] = rng.randint(-9, 9)
+    return [c.numerator if type(c) is Fraction and c.denominator == 1
+            else c for c in out]
+
+
+def test_mixed_coefficient_lists_against_sympy():
+    # each list-level function on coefficient lists mixing ints and
+    # Fractions, against sympy over QQ, and its result in stored form
+    rng = random.Random(883)
+    for _ in range(60):
+        a = _rand_mixed(rng, rng.randint(0, 8))
+        b = _rand_mixed(rng, rng.randint(0, 5))
+        f = _rand_mixed(rng, rng.randint(1, 5))
+        sa, sb, sf = _to_sympy(a), _to_sympy(b), _to_sympy(f)
+        q, r = udivmod(a, b)
+        e = rng.choice((0, 1, 2, 3, 7))
+        checks = [(usub(a, b), sa - sb), (umul(a, b), sa * sb),
+                  (q, sympy.div(sa, sb)[0]), (r, sympy.div(sa, sb)[1]),
+                  (umod(a, b), sympy.rem(sa, sb)), (umonic(a), sa.monic()),
+                  (upowmod(a, e, f), sympy.rem(sa ** e, sf)),
+                  (uderiv(a), sa.diff(T))]
+        if sympy.gcd(sa, sf).degree() == 0:
+            checks.append((uinvmod(a, f), sympy.invert(sa, sf)))
+        for got, want in checks:
+            _assert_stored(got)
+            assert got == _from_sympy(want), (a, b, f)
+        prim = uprimitive(a)
+        assert all(type(c) is int for c in prim)
+        _, sprim = sa.primitive()
+        assert prim == [int(c) * (1 if sprim.LC() > 0 else -1)
+                        for c in reversed(sprim.all_coeffs())], a
+        poly = MultiPoly.from_univariate(("t",), "t", a)
+        _, got = as_univariate(poly, "t")
+        _assert_stored(got)
+        assert got == a
+    # integral inputs over a monic integral divisor give only ints
+    for _ in range(40):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1]
+        q, r = udivmod(a, f)
+        out = (usub(a, f) + umul(a, f) + q + r + umod(a, f)
+               + upowmod(a, rng.randint(0, 9), f) + umonic(f) + uderiv(a)
+               + as_univariate(MultiPoly.from_univariate(("t",), "t", a),
+                               "t")[1])
+        assert all(type(c) is int for c in out), (a, f)
+
+
+def test_pmod_kernels_against_sympy_gf():
+    # pmod_mul, pmod_divmod, pmod_pow and irreducible_mod_p against
+    # sympy's GF(p) routines; a zero exponent gives [1] and a constant
+    # modulus []
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import (
+        gf_div,
+        gf_irreducible_p,
+        gf_mul,
+        gf_pow_mod,
+    )
+
+    def gf(coeffs):
+        return list(reversed(coeffs))
+
+    rng = random.Random(919)
+    verdicts = set()
+    for p in (2, 3, 101, 9973, 2**61 - 1):
+        def rand(deg, monic=False):
+            out = [rng.randrange(p) for _ in range(deg)]
+            return out + [1 if monic else rng.randrange(1, p)]
+
+        for _ in range(6):
+            a, b = rand(rng.randint(0, 7)), rand(rng.randint(0, 7))
+            assert pmod_mul(a, b, p) == gf(gf_mul(gf(a), gf(b), p, ZZ))
+            for mod in (rand(rng.randint(2, 6)), rand(1), rand(0),
+                        rand(rng.randint(2, 6), monic=True)):
+                q, r = gf_div(gf(a), gf(mod), p, ZZ)
+                assert pmod_divmod(a, mod, p) == (gf(q), gf(r))
+                for e in (0, 1, 2, p, (p - 1) // 2):
+                    want = gf(gf_pow_mod(gf(a), e, gf(mod), p, ZZ))
+                    assert pmod_pow(a, e, mod, p) == want, (a, e, mod, p)
+                assert pmod_pow(a, 0, mod, p) == [1]
+            assert pmod_pow(a, 3, rand(0), p) == []
+            f = rand(rng.randint(1, 6))
+            verdicts.add(irreducible_mod_p(f, p))
+            assert irreducible_mod_p(f, p) == gf_irreducible_p(
+                gf(f), p, ZZ), (f, p)
+        assert not irreducible_mod_p(rand(0), p)
+    assert verdicts == {True, False}
 
 
 def test_yun_squarefree_against_sympy():
