@@ -335,8 +335,7 @@ def _rational_witness(q: Fraction, bound: int):
         if m % p == 0:
             continue
         if legendre(m, p) == -1:
-            return PrimeWitness(p=p, root=None,
-                                note="Legendre(%d, %d) = -1" % (m, p))
+            return PrimeWitness(p=p)
     return None
 
 
@@ -368,8 +367,7 @@ def nonsquare_witness(rc: ResidueClass,
         for r in roots:
             val = pmod_eval(vint, r, p)
             if val and legendre(val, p) == -1:
-                return PrimeWitness(p=p, root=r,
-                                    note="value is a non-residue mod %d" % p)
+                return PrimeWitness(p=p, root=r)
     return None
 
 

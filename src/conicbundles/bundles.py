@@ -130,21 +130,13 @@ class ConicBundle:
 
 def xpart_degree(p: MultiPoly):
     """Degree of a form in the x0, x1 part only; None for the zero
-    polynomial, None if not x-homogeneous (caller re-checks)."""
+    polynomial and for one that is not x-homogeneous."""
     if p.is_zero():
         return None
     i0 = p.vars.index("x0")
     i1 = p.vars.index("x1")
     degs = {e[i0] + e[i1] for e in p.terms}
-    return max(degs)
-
-
-def _x_homogeneous(p: MultiPoly) -> bool:
-    if p.is_zero():
-        return True
-    i0 = p.vars.index("x0")
-    i1 = p.vars.index("x1")
-    return len({e[i0] + e[i1] for e in p.terms}) == 1
+    return degs.pop() if len(degs) == 1 else None
 
 
 def make_bundle(weights, sigma_texts, params=()) -> ConicBundle:
@@ -171,7 +163,7 @@ def validate_bundle(cb: ConicBundle) -> ConicBundle:
     shifting the weights; flag zero diagonal entries
     (rational-by-section) and an identically zero discriminant."""
     for name, s in zip(SIGMA_NAMES, cb.sigma):
-        if not _x_homogeneous(s):
+        if not s.is_zero() and xpart_degree(s) is None:
             raise BundleError("%s is not homogeneous in x0, x1" % name)
     a = cb.weights.tuple
     m = cb.shift()
@@ -398,17 +390,33 @@ def bundle_to_text(cb: ConicBundle) -> str:
 MAX_DRAWS = 400
 
 
+def seeded_draw(key, draw, what: str, exception=BundleError):
+    """The first value other than None that draw(rng) returns, with one
+    random.Random(key) feeding at most MAX_DRAWS draws."""
+    rng = random.Random(key)
+    for _ in range(MAX_DRAWS):
+        out = draw(rng)
+        if out is not None:
+            return out
+    raise exception("no admissible %s after %d draws" % (what, MAX_DRAWS))
+
+
+def admissible(cb: ConicBundle) -> bool:
+    """Whether the affine discriminant has full degree 2*(a0 + a1 + a2)
+    and is square-free: the test every seeded member passes."""
+    _, cs = as_univariate(dehomogenize(discriminant_form(cb)), "t")
+    return len(cs) - 1 == 2 * sum(cb.weights.tuple) and is_squarefree(cs)
+
+
 def random_bundle(weights, seed: int, lo: int = -9,
                   hi: int = 9) -> ConicBundle:
     """Seeded integer-coefficient member of the family of the given
-    weights (m = 0), rejection-sampled until the affine discriminant
-    has full degree and is square-free."""
+    weights (m = 0), rejection-sampled until it is admissible."""
     w = weights if isinstance(weights, Weights) else Weights(*weights)
-    rng = random.Random(seed)
     a = w.tuple
     variables = ("x0", "x1")
-    target = 2 * sum(a)
-    for _ in range(MAX_DRAWS):
+
+    def draw(rng):
         sigma = []
         for (i, j) in PAIRS:
             d = a[i] + a[j]
@@ -419,13 +427,6 @@ def random_bundle(weights, seed: int, lo: int = -9,
                     coeffs[(d - k, k)] = Fraction(c)
             sigma.append(MultiPoly(variables, coeffs))
         cb = ConicBundle(weights=w, sigma=tuple(sigma))
-        aff = dehomogenize(discriminant_form(cb))
-        _, cs = as_univariate(aff, "t")
-        if len(cs) - 1 != target:
-            continue
-        if not is_squarefree(cs):
-            continue
-        return validate_bundle(cb)
-    raise RuntimeError(
-        "no admissible member found for %s after %d attempts (seed %d)"
-        % (w, MAX_DRAWS, seed))
+        return validate_bundle(cb) if admissible(cb) else None
+
+    return seeded_draw(seed, draw, "member of %s (seed %d)" % (w, seed))

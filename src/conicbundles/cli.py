@@ -12,18 +12,18 @@ single JSON object per run.  Exit codes partition the outcomes:
 
 All randomness flows through the --seed flag of `dominance` and
 `cremona-chain`; reruns with the same inputs produce byte-identical
-output.  Each flag is accepted only by the commands that read it.
+output.  Both draw their members from the coefficient loci of
+`families.LOCI`, so neither reads a file.  Each flag is accepted only
+by the commands that read it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 
 from .brauer import (
     DEFAULT_PRIME_BOUND,
@@ -39,7 +39,6 @@ from .bundles import (
     discriminant,
     load_bundle,
     multidegrees_for_discriminant,
-    parse_bundle_text,
     validate_bundle,
 )
 from .families import (
@@ -56,9 +55,9 @@ from .plane import (
     DEFAULT_HEIGHT_BOUND,
     ConicQ,
     PlaneError,
+    chain_member,
     chain_U12,
     conic_has_point,
-    u12_delta,
 )
 from .quadforms import (
     DegeneratePivot,
@@ -85,11 +84,6 @@ class CommandFailure(Exception):
         self.code = code
         self.message = message
         self.prog = prog
-
-
-def fixture_text(name: str) -> str:
-    return resources.files("conicbundles").joinpath(
-        "fixtures", name).read_text(encoding="utf-8")
 
 
 def _load(path):
@@ -349,52 +343,14 @@ def cmd_dominance(args):
     return (EXIT_OK if all_ok else EXIT_DEGENERATE), payload, lines
 
 
-# chain sampling: draw the thirteen template parameters from
-# [-CHAIN_RANGE, CHAIN_RANGE], force the normal-form slice (c3 = -b3),
-# and reject draws that collapse the chain before it starts.
-CHAIN_RANGE = 9
-CHAIN_DRAWS = 200
-
-
-def sample_chain_instantiation(template, seed) -> dict:
-    rng = random.Random("chain#%s" % seed)
-    for _ in range(CHAIN_DRAWS):
-        values = {p: Fraction(rng.randint(-CHAIN_RANGE, CHAIN_RANGE))
-                  for p in template.params}
-        if "c3" in values and "b3" in values:
-            values["c3"] = -values["b3"]
-        delta = u12_delta(values)
-        if not delta:
-            continue
-        if not (values["d0"] + values["g0"] + values["h0"]):
-            continue
-        return values
-    raise CommandFailure(EXIT_DEGENERATE,
-                         "no admissible instantiation after %d draws"
-                         % CHAIN_DRAWS)
-
-
 def cmd_cremona_chain(args):
-    if args.file:
-        template = _load(args.file)
-    else:
-        try:
-            template = validate_bundle(
-                parse_bundle_text(fixture_text("u12_template.cb")))
-        except BundleError as exc:
-            raise CommandFailure(EXIT_INVALID, "shipped template: %s" % exc)
-    if not template.params:
-        raise CommandFailure(
-            EXIT_INVALID,
-            "the chain template needs free parameters to instantiate")
-    values = sample_chain_instantiation(template, args.seed)
     try:
-        chain = chain_U12(template, instantiation=values)
-    except (PlaneError, BundleError) as exc:
+        chain = chain_U12(chain_member(args.seed))
+    except PlaneError as exc:
         raise CommandFailure(EXIT_DEGENERATE, str(exc))
+    free, values = locus("U12").free, chain.coefficients
     lines = ["instantiation (seed %d): %s" % (
-        args.seed, ", ".join("%s = %s" % (p, values[p])
-                             for p in template.params))]
+        args.seed, ", ".join("%s = %s" % (p, values[p]) for p in free))]
     lines.append("degrees: (%s)" % ", ".join(str(d) for d in chain.degrees))
     lines.append("multiplicity %d at (%d, %d, %d)" % (
         (chain.q_multiplicity,) + CHAIN_Q))
@@ -409,7 +365,7 @@ def cmd_cremona_chain(args):
     payload = {
         "command": "cremona-chain",
         "seed": args.seed,
-        "instantiation": {p: str(values[p]) for p in template.params},
+        "instantiation": {p: str(values[p]) for p in free},
         "degrees": list(chain.degrees),
         "deep_point": list(CHAIN_Q),
         "q_multiplicity": chain.q_multiplicity,
@@ -608,9 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base seed for sampling (default 0)")
 
     p = add("cremona-chain", cmd_cremona_chain,
-            "run the plane reduction on a seeded chain member")
-    p.add_argument("file", nargs="?", default=None,
-                   help="template file (default: shipped template)")
+            "run the plane reduction on a seeded member of the U12 "
+            "locus table")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for sampling (default 0)")
 

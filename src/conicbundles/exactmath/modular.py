@@ -364,7 +364,6 @@ class PrimeWitness:
     of the ambient place polynomial mod p."""
     p: int
     root: int | None = None
-    note: str = ""
 
 
 def modp_irreducible_witness(f, bound: int = DEFAULT_PRIME_BOUND):
@@ -380,4 +379,4 @@ def modp_irreducible_witness(f, bound: int = DEFAULT_PRIME_BOUND):
         if p > bound:
             return None
         if lc % p and irreducible_mod_p(coeffs, p):
-            return PrimeWitness(p=p, note="irreducible mod %d" % p)
+            return PrimeWitness(p=p)

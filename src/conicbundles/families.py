@@ -11,28 +11,24 @@ verification of the splitting-type degeneration families.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .bundles import (
-    MAX_DRAWS,
     PAIRS,
     ConicBundle,
     Weights,
+    admissible,
     bundle_equation,
-    dehomogenize,
-    discriminant_form,
+    seeded_draw,
     validate_bundle,
     xpart_degree,
 )
 from .exactmath import (
     Jet,
     MultiPoly,
-    as_univariate,
     is_square_rat,
-    is_squarefree,
     mat_rank,
     nullspace,
     parse_poly,
@@ -493,24 +489,19 @@ def first_violation(spec: LocusSpec, values: dict):
 def locus_member(spec: LocusSpec, seed, lo: int = -9,
                  hi: int = 9) -> ConicBundle:
     """Seeded integer member satisfying the relations exactly,
-    rejection-sampled for a square-free affine discriminant of full
-    degree 8."""
-    rng = random.Random("%s#%s" % (spec.name, seed))
-    for _ in range(MAX_DRAWS):
-        draw = {nm: rng.randint(lo, hi) for nm in spec.free}
+    rejection-sampled until it is admissible."""
+    def draw(rng):
         try:
-            values = spec.solve(draw)
+            values = spec.solve({nm: rng.randint(lo, hi)
+                                 for nm in spec.free})
         except FamiliesError:
-            continue
+            return None
         cb = bundle_from_coefficients(spec.weights, values, spec.diagonal)
-        aff = dehomogenize(discriminant_form(cb))
-        _, cs = as_univariate(aff, "t")
-        if len(cs) - 1 != 8 or not is_squarefree(cs):
-            continue
-        return validate_bundle(cb)
-    raise FamiliesError(
-        "no admissible member of %s after %d attempts (seed %s)"
-        % (spec.name, MAX_DRAWS, seed))
+        return validate_bundle(cb) if admissible(cb) else None
+
+    return seeded_draw("%s#%s" % (spec.name, seed), draw,
+                       "member of %s (seed %s)" % (spec.name, seed),
+                       FamiliesError)
 
 
 # -- first-order dominance ------------------------------------------------

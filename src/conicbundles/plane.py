@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .bundles import ConicBundle, instantiate
+from .bundles import PAIRS, ConicBundle, seeded_draw
 from .exactmath import (
     MultiPoly,
     NotDivisible,
@@ -27,7 +27,13 @@ from .exactmath import (
     nullspace,
     sqrt_rat,
 )
-from .families import LOCI, bundle_coefficients, first_violation
+from .families import (
+    LOCI,
+    LocusSpec,
+    bundle_coefficients,
+    bundle_from_coefficients,
+    first_violation,
+)
 from .quadforms import QuadraticForm3, diagonalize_pivoted
 
 W3 = ("w0", "w1", "w2")
@@ -97,19 +103,14 @@ class SurfaceModel:
 
 _SCROLL_SLOTS = {
     # weights -> (hom pair, slot variables for (y0,y1,y2), model degree,
-    #             chart text)
+    #             chart text, the lines whose multiplicity is reported)
     (2, 1, 1): (("z0", "z1"), (None, "z2", "z3"), 4,
-                "[x0*y0 : x1*y0 : y1 : y2]"),
+                "[x0*y0 : x1*y0 : y1 : y2]", (("z0", "z1"),)),
     (2, 2, 0): (("z0", "z3"), (None, "z1", "z2"), 6,
-                "[x0 : y1 : y2 : 1] rehomogenized by z3"),
+                "[x0 : y1 : y2 : 1] rehomogenized by z3",
+                (("z0", "z3"), ("z1", "z3"))),
     (4, 0, 0): (("z0", "z3"), (None, "z1", "z2"), 8,
-                "[x0 : y1 : y2 : 1] rehomogenized by z3"),
-}
-
-_SCROLL_LINES = {
-    (2, 1, 1): ((("z0", "z1"), 2),),
-    (2, 2, 0): ((("z0", "z3"), 4), (("z1", "z3"), 2)),
-    (4, 0, 0): ((("z0", "z3"), 6),),
+                "[x0 : y1 : y2 : 1] rehomogenized by z3", (("z0", "z3"),)),
 }
 
 
@@ -122,15 +123,13 @@ def scroll_image(cb: ConicBundle) -> SurfaceModel:
         raise UnsupportedWeights(
             "no scroll model for weights %s; supported: (2,1,1), (2,2,0), "
             "(4,0,0)" % (w,))
-    (va, vb), slots, total, chart = _SCROLL_SLOTS[w]
+    (va, vb), slots, total, chart, line_pairs = _SCROLL_SLOTS[w]
     variables = Z4 + cb.params
-    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-    md = cb.multidegree()
-    dij = dict(zip(pairs, md.tuple))
+    dij = dict(zip(PAIRS, cb.multidegree().tuple))
     acc = MultiPoly.zero(variables)
     pad = MultiPoly.variable(variables, vb)
     hom = {"x0": MultiPoly.variable(variables, va), "x1": pad}
-    for (i, j) in pairs:
+    for (i, j) in PAIRS:
         s = cb.s(i, j)
         if s.is_zero():
             continue
@@ -147,10 +146,9 @@ def scroll_image(cb: ConicBundle) -> SurfaceModel:
     if acc.is_zero():
         raise PlaneError("all coefficient forms vanish")
     lines = []
-    for (la, lb), expected in _SCROLL_LINES[w]:
+    for (la, lb) in line_pairs:
         ia, ib = variables.index(la), variables.index(lb)
-        mult = min(e[ia] + e[ib] for e in acc.terms)
-        lines.append(((la, lb), mult))
+        lines.append(((la, lb), min(e[ia] + e[ib] for e in acc.terms)))
     return SurfaceModel(poly=acc, degree=total, multiple_lines=tuple(lines),
                         chart_map=chart)
 
@@ -365,20 +363,51 @@ def cremona_apply(cmap: CremonaMap, curve: PlaneCurve) -> PlaneCurve:
 
 # -- the degree 8 -> 6 -> 4 -> 2 chain ------------------------------------
 
-def u12_coefficients(cb: ConicBundle) -> dict:
-    """Named coefficients of a numeric (4,0,0) bundle: index 0 is the
-    leading (t-degree) coefficient of each form."""
-    if cb.weights.tuple != (4, 0, 0):
-        raise PlaneError("chain needs weights (4,0,0), got %s" % cb.weights)
-    if cb.params:
-        raise PlaneError("chain needs a numeric bundle; instantiate first")
-    return bundle_coefficients(cb)
-
-
 def u12_delta(coeffs: dict) -> Fraction:
     return (coeffs["a4"] + 2 * coeffs["a6"]
             + Fraction(coeffs["b2"] + coeffs["c2"], 2)
             + Fraction(coeffs["d0"] + coeffs["g0"] + coeffs["h0"], 4))
+
+
+# The slice of U12 the chain runs on: off it the deep point carries a
+# different infinitely-near structure and the degree sequence breaks.
+CHAIN_SLICE = LocusSpec(name="the chain slice", weights=(4, 0, 0),
+                        diagonal=False, relations=(("c3", "b3 + c3"),))
+
+# What the chain needs of a U12 member, in the order chain_U12 checks
+# it: (a value on the named coefficients that must not vanish, the
+# message when it does).
+CHAIN_CONDITIONS = (
+    (u12_delta, "chain degenerates: Delta = 0"),
+    (lambda v: v["d0"] + v["g0"] + v["h0"],
+     "chain degenerates: the 6-fold point sharpens (d0 + g0 + h0 = 0)"),
+    (lambda v: first_violation(CHAIN_SLICE, v) is None,
+     "chain normal form needs b3 + c3 = 0"),
+)
+
+
+def chain_failure(coeffs: dict):
+    """The message of the first chain condition that fails at the named
+    coefficients of a U12 member, or None."""
+    return next((msg for value, msg in CHAIN_CONDITIONS
+                 if not value(coeffs)), None)
+
+
+def chain_member(seed) -> ConicBundle:
+    """Seeded integer member of U12 that the chain accepts: the free
+    names of the table are drawn from [-9, 9] in order, c3 is solved
+    onto the slice, and a draw failing a chain condition is rejected."""
+    u12 = LOCI["U12"]
+
+    def draw(rng):
+        values = u12.solve(CHAIN_SLICE.solve(
+            {nm: rng.randint(-9, 9) for nm in u12.free}))
+        if chain_failure(values):
+            return None
+        return bundle_from_coefficients(u12.weights, values)
+
+    return seeded_draw("chain#%s" % seed, draw,
+                       "chain member (seed %s)" % seed, PlaneError)
 
 
 @dataclass(frozen=True)
@@ -447,28 +476,23 @@ def hyperplane_section_octic(cb: ConicBundle) -> PlaneCurve:
     return PlaneCurve.make(c)
 
 
-def chain_U12(cb: ConicBundle, instantiation=None) -> ChainU12:
-    """Run the full reduction: octic section of the degree-8 scroll
-    image, then three quadratic Cremona maps; verifies the locus
-    relations, the 6-fold point, and the double points."""
-    if instantiation:
-        cb = instantiate(cb, instantiation)
-    coeffs = u12_coefficients(cb)
+def chain_U12(cb: ConicBundle) -> ChainU12:
+    """Run the full reduction on a numeric member: octic section of the
+    degree-8 scroll image, then three quadratic Cremona maps; verifies
+    the locus relations, the chain conditions, the 6-fold point, and
+    the double points."""
+    if cb.weights.tuple != (4, 0, 0):
+        raise PlaneError("chain needs weights (4,0,0), got %s" % cb.weights)
+    if cb.params:
+        raise PlaneError("chain needs a numeric bundle; instantiate first")
+    coeffs = bundle_coefficients(cb)
     bad = first_violation(LOCI["U12"], coeffs)
     if bad:
         raise PlaneError("chain locus relation violated: %s = %s but the "
                          "relations force %s" % bad)
-    delta = u12_delta(coeffs)
-    if not delta:
-        raise PlaneError("chain degenerates: Delta = 0")
-    tc_scalar = coeffs["d0"] + coeffs["g0"] + coeffs["h0"]
-    if not tc_scalar:
-        raise PlaneError("chain degenerates: the 6-fold point sharpens "
-                         "(d0 + g0 + h0 = 0)")
-    if coeffs["b3"] + coeffs["c3"]:
-        # off this slice the deep point carries a different
-        # infinitely-near structure and the degree sequence breaks
-        raise PlaneError("chain normal form needs b3 + c3 = 0")
+    failed = chain_failure(coeffs)
+    if failed:
+        raise PlaneError(failed)
     c_curve = hyperplane_section_octic(cb)
     mq, cone = multiplicity_at(c_curve.poly, CHAIN_Q)
     if mq != 6:
@@ -487,7 +511,7 @@ def chain_U12(cb: ConicBundle, instantiation=None) -> ChainU12:
                     maps=(phi1, phi2, phi3),
                     q_multiplicity=mq, q_tangent_cone=cone,
                     double_points=CHAIN_DOUBLE_POINTS,
-                    delta=delta, coefficients=coeffs)
+                    delta=u12_delta(coeffs), coefficients=coeffs)
 
 
 # -- conics ----------------------------------------------------------------
@@ -697,16 +721,20 @@ def tangent_2section_433222(cb: ConicBundle) -> TangentSectionData:
         raise PlaneError("tangent section needs weights (2,1,1)")
     if cb.params:
         raise PlaneError("tangent section needs a numeric bundle")
+    spec = LOCI["U_433222"]
     v = bundle_coefficients(cb)
-    for name in ("a0", "a1", "a3", "a4"):
-        if v[name]:
-            raise PlaneError(
-                "tangency precondition failed: coefficient %s of sigma00 "
-                "must vanish" % name)
-    if not v["b0"]:
+    bad = first_violation(spec, v)
+    # the last row, b0*c3 - c0*b3, makes the two tangent planes agree;
+    # it names c3 through its coefficient b0, which must not vanish
+    dep, _, lead, _ = spec.parts[-1]
+    if bad and bad[0] != dep:
+        raise PlaneError(
+            "tangency precondition failed: coefficient %s of sigma00 "
+            "must vanish" % bad[0])
+    if not lead.evaluate(v):
         raise PlaneError("tangency precondition failed: leading sigma01 "
                          "coefficient b0 = 0")
-    if v["b0"] * v["c3"] - v["c0"] * v["b3"]:
+    if bad:
         raise PlaneError(
             "tangency precondition failed: the two tangent planes differ "
             "(b0*c3 - c0*b3 != 0)")

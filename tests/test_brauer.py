@@ -323,7 +323,7 @@ def test_certificate_rechecked_before_it_is_returned(monkeypatch):
     import conicbundles.brauer as brauer_mod
     monkeypatch.setattr(
         brauer_mod, "nonsquare_witness",
-        lambda rc, bound: PrimeWitness(p=7, root=None, note="bogus"))
+        lambda rc, bound: PrimeWitness(p=7, root=None))
     cb = fixture("min844.cb")
     with pytest.raises(AssertionError,
                        match="re-check: place=t residue=1/2 prime=7"):
@@ -420,7 +420,7 @@ def test_split_quadratic_place_no_false_certificate():
     # a fabricated rootless witness at that place must fail verification
     fake = NoSectionCertificate(
         place=rcs["t^2 + 1"].place, residue=rcs["t^2 + 1"],
-        witness=PrimeWitness(p=3, root=None, note="bogus"))
+        witness=PrimeWitness(p=3, root=None))
     assert not verify_certificate(fake)
 
 

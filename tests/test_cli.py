@@ -398,12 +398,76 @@ def test_cremona_chain_contract(capsys):
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1]
         assert outs[0].splitlines()[1] == "degrees: (8, 6, 4, 2)"
-    # a numeric bundle has no parameters to instantiate
-    code, payload = run_json(capsys, ["cremona-chain",
-                                      fixture_path("min844.cb")])
-    assert code == EXIT_INVALID
-    assert payload["exit_code"] == EXIT_INVALID
-    assert "free parameters" in payload["error"]
+
+
+# (instantiation, tangent cone, delta, C, C1, C2, C3) per seed, as the
+# command printed them when it still instantiated u12_template.cb; the
+# draws of seed 99 fail the chain conditions twice before one passes
+CHAIN_PINNED = {
+    0: ("a4=1 a5=6 a6=-1 b2=-3 b3=-3 c0=-5 c1=0 c2=-2 c3=3 c4=9 d0=2 "
+        "g0=-1 h0=-7", "12*w2^6", "-5",
+        "10*w0^8 - w0^7*w2 - 4*w0^6*w2^2 + 19*w0^5*w2^3 - 22*w0^4*w1*w2^3"
+        " - 2*w0^4*w2^4 - 12*w0^3*w1*w2^4 - 12*w0^3*w2^5"
+        " + 10*w0^2*w1*w2^5 + 2*w0^2*w2^6 + 12*w1^2*w2^6",
+        "10*w0^2*w1^4 - 21*w0^2*w1^3*w2 + 28*w0^2*w1^2*w2^2"
+        " - 16*w0^2*w1*w2^3 + 2*w0^2*w2^4 - 22*w0*w1^2*w2^3"
+        " + 10*w0*w1*w2^4 + 12*w2^6",
+        "10*w0^4 - 21*w0^3*w1 - 40*w0^3*w2 + 28*w0^2*w1^2 + 82*w0^2*w1*w2"
+        " + 40*w0^2*w2^2 - 16*w0*w1^3 - 66*w0*w1^2*w2 - 80*w0*w1*w2^2"
+        " + 2*w1^4 + 24*w1^3*w2 + 40*w1^2*w2^2",
+        "10*w0^2 + 12*w0*w1 - 21*w0*w2 + 2*w1^2 - 16*w1*w2 + 16*w2^2"),
+    99: ("a4=-2 a5=-6 a6=5 b2=4 b3=-2 c0=-7 c1=-6 c2=5 c3=2 c4=9 d0=-4 "
+         "g0=-4 h0=5", "-12*w2^6", "47/4",
+         "47*w0^8 - 12*w0^7*w2 - 65*w0^6*w2^2 + 30*w0^5*w2^3"
+         " - 24*w0^4*w1*w2^3 - 8*w0^4*w2^4 + 12*w0^3*w1*w2^4"
+         " - 24*w0^3*w2^5 + 36*w0^2*w1*w2^5 + 20*w0^2*w2^6"
+         " - 12*w1^2*w2^6",
+         "47*w0^2*w1^4 - 106*w0^2*w1^3*w2 + 100*w0^2*w1^2*w2^2"
+         " - 64*w0^2*w1*w2^3 + 20*w0^2*w2^4 - 24*w0*w1^2*w2^3"
+         " + 36*w0*w1*w2^4 - 12*w2^6",
+         "47*w0^4 - 106*w0^3*w1 - 188*w0^3*w2 + 100*w0^2*w1^2"
+         " + 400*w0^2*w1*w2 + 188*w0^2*w2^2 - 64*w0*w1^3"
+         " - 260*w0*w1^2*w2 - 376*w0*w1*w2^2 + 20*w1^4 + 48*w1^3*w2"
+         " + 188*w1^2*w2^2",
+         "47*w0^2 + 24*w0*w1 - 106*w0*w2 + 20*w1^2 - 64*w1*w2 + 76*w2^2"),
+}
+
+
+def test_cremona_chain_payload_pinned(capsys):
+    for seed, (inst, cone, delta, *curves) in CHAIN_PINNED.items():
+        code, payload = run_json(capsys, ["cremona-chain", "--seed",
+                                          str(seed)])
+        assert code == EXIT_OK
+        assert payload == {
+            "command": "cremona-chain", "seed": seed,
+            "instantiation": dict(kv.split("=") for kv in inst.split()),
+            "degrees": [8, 6, 4, 2], "deep_point": [0, 1, 0],
+            "q_multiplicity": 6, "tangent_cone": cone,
+            "double_points": [[0, 0, 1], [1, 0, -1], [1, 1, 1]],
+            "delta": delta,
+            "curves": dict(zip(("C", "C1", "C2", "C3"), curves)),
+            "exit_code": EXIT_OK}
+
+
+def test_cremona_chain_reads_no_file(capsys, tmp_path):
+    # the member comes from the U12 table; a file argument, numeric or
+    # parametric, is a usage error, reported without a traceback
+    parametric = tmp_path / "pq.cb"
+    parametric.write_text("weights = 4 0 0\nparams = p q\n"
+                          "sigma00 = p*x0^8\nsigma01 = q*x0^4\n"
+                          "sigma02 = x1^4\nsigma11 = 1\nsigma12 = 0\n"
+                          "sigma22 = 1\n")
+    for path in (fixture_path("min844.cb"), str(parametric)):
+        argv = ["cremona-chain", path, "--seed", "3"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_INVALID
+        assert payload == {"command": "cremona-chain",
+                           "error": "unrecognized arguments: %s" % path,
+                           "exit_code": EXIT_INVALID}
+        assert main(argv) == EXIT_INVALID
+        out = capsys.readouterr()
+        assert not out.out and "Traceback" not in out.err
+        assert out.err == "conicbundles: error: %s\n" % payload["error"]
 
 
 DOMINANCE_KEYS = {"command", "locus", "weights", "reports", "ok", "exit_code"}
@@ -675,7 +739,7 @@ def _every_command_on_the_fixtures():
     for name in DOMINANCE_PAIRS:
         yield ["dominance", "--locus", name, "--seeds", "1"]
     yield ["cremona-chain"]
-    yield ["cremona-chain", fixtures[2], "--seed", "3"]
+    yield ["cremona-chain", "--seed", "3"]
     for pair in DEGENERATION_PAIRS:
         yield ["degenerate", "--pair", pair]
     for coeffs in ("1,0,1,0,0,-5", "1,0,1,0,0,-3", "1/2,1,1/3,0,0,-5",

@@ -8,13 +8,17 @@ from importlib.resources import files
 import pytest
 
 from conicbundles.bundles import (
+    instantiate,
     make_bundle,
     parse_bundle_text,
     random_bundle,
     validate_bundle,
 )
 from conicbundles.exactmath import MultiPoly, parse_poly
-from conicbundles.families import bundle_from_coefficients
+from conicbundles.families import (
+    bundle_coefficients,
+    bundle_from_coefficients,
+)
 from conicbundles.plane import (
     CHAIN_DOUBLE_POINTS,
     CHAIN_Q,
@@ -24,6 +28,8 @@ from conicbundles.plane import (
     PlaneCurve,
     PlaneError,
     UnsupportedWeights,
+    chain_failure,
+    chain_member,
     chain_U12,
     conic_has_point,
     cremona_apply,
@@ -35,7 +41,6 @@ from conicbundles.plane import (
     scroll_image,
     standard_cremona,
     tangent_2section_433222,
-    u12_coefficients,
     u12_delta,
 )
 
@@ -262,8 +267,6 @@ def test_cremona_apply_matches_sympy_strict_transform():
 
 
 def test_chain_curves_pinned():
-    from conicbundles.cli import sample_chain_instantiation
-    tpl = load_fixture("u12_template.cb")
     pinned = {
         0: ("10*w0^2*w1^4 - 21*w0^2*w1^3*w2 + 28*w0^2*w1^2*w2^2"
             " - 16*w0^2*w1*w2^3 + 2*w0^2*w2^4 - 22*w0*w1^2*w2^3"
@@ -282,7 +285,7 @@ def test_chain_curves_pinned():
             "19*w0^2 + 20*w0*w1 - 82*w0*w2 + 20*w1^2 - 60*w1*w2 + 72*w2^2"),
     }
     for seed, curves in pinned.items():
-        ch = chain_U12(tpl, sample_chain_instantiation(tpl, seed))
+        ch = chain_U12(chain_member(seed))
         assert tuple(str(c.poly) for c in (ch.C1, ch.C2, ch.C3)) == curves
 
 
@@ -317,8 +320,7 @@ def test_scroll_unsupported_weights():
 
 
 def test_chain_hand_instance():
-    tpl = load_fixture("u12_template.cb")
-    ch = chain_U12(tpl, CHAIN_FREES)
+    ch = chain_U12(instantiate(load_fixture("u12_template.cb"), CHAIN_FREES))
     assert ch.degrees == (8, 6, 4, 2)
     assert ch.delta == 2
     assert ch.q_multiplicity == 6
@@ -344,8 +346,7 @@ def test_chain_hand_instance():
 
 
 def test_chain_multiplicity_drop_along_maps():
-    tpl = load_fixture("u12_template.cb")
-    ch = chain_U12(tpl, CHAIN_FREES)
+    ch = chain_U12(instantiate(load_fixture("u12_template.cb"), CHAIN_FREES))
     m1, _ = multiplicity_at(ch.C.poly, CHAIN_Q)
     assert m1 == 6
     for pt in CHAIN_DOUBLE_POINTS:
@@ -357,13 +358,40 @@ def test_chain_degenerations():
     tpl = load_fixture("u12_template.cb")
     off_slice = dict(CHAIN_FREES, b3=1, c3=0)
     with pytest.raises(PlaneError, match="b3 \\+ c3"):
-        chain_U12(tpl, off_slice)
+        chain_U12(instantiate(tpl, off_slice))
     no_delta = dict(CHAIN_FREES, a4=-1)
     with pytest.raises(PlaneError, match="Delta = 0"):
-        chain_U12(tpl, no_delta)
+        chain_U12(instantiate(tpl, no_delta))
     sharp = dict(CHAIN_FREES, d0=0)
     with pytest.raises(PlaneError, match="d0 \\+ g0 \\+ h0"):
-        chain_U12(tpl, sharp)
+        chain_U12(instantiate(tpl, sharp))
+
+
+def test_chain_member_is_the_first_draw_the_chain_accepts():
+    # the chain#seed stream drawn in template order and put on the
+    # slice: the member is the first draw chain_U12 runs on, and every
+    # draw before it fails with the chain condition the sampler names;
+    # seed 14 rejects one draw, seed 99 two
+    tpl = load_fixture("u12_template.cb")
+    for seed in (0, 14, 99):
+        rng = random.Random("chain#%s" % seed)
+        rejected = 0
+        while True:
+            draw = {p: rng.randint(-9, 9) for p in tpl.params}
+            draw["c3"] = -draw["b3"]
+            cb = instantiate(tpl, draw)
+            try:
+                chain_U12(cb)
+                break
+            except PlaneError as exc:
+                assert chain_failure(bundle_coefficients(cb)) == str(exc)
+                rejected += 1
+        assert rejected == {0: 0, 14: 1, 99: 2}[seed]
+        assert chain_member(seed).sigma == cb.sigma
+    # the conditions are checked in table order: Delta before the slice
+    both = instantiate(tpl, dict(CHAIN_FREES, a4=-1, b3=1))
+    with pytest.raises(PlaneError, match="Delta = 0"):
+        chain_U12(both)
 
 
 def test_chain_input_checks():
@@ -374,10 +402,8 @@ def test_chain_input_checks():
 
 
 def test_u12_relations_checker():
-    tpl = load_fixture("u12_template.cb")
-    from conicbundles.bundles import instantiate
-    cb = instantiate(tpl, CHAIN_FREES)
-    coeffs = u12_coefficients(cb)
+    cb = instantiate(load_fixture("u12_template.cb"), CHAIN_FREES)
+    coeffs = bundle_coefficients(cb)
     assert u12_delta(coeffs) == 2
     chain_U12(cb)  # the relations hold
     broken = dict(coeffs)

@@ -44,6 +44,8 @@ UNREFERENCED = {
     "bilinear": "test oracle for the congruence check",
     "same_rational_class": "test oracle for residue classes",
     "identity": "the pullback oracle's identity element (ROADMAP item 7)",
+    "instantiate": "test oracle that pins u12_template.cb to the U12 "
+                   "table",
     # a ROADMAP item is pending
     "tangent_2section_433222": "ROADMAP item 2 puts it on a CLI path",
     "apply_point": "ROADMAP item 2 pulls points through the chain",
