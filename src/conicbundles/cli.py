@@ -43,7 +43,7 @@ from .bundles import (
 )
 from .families import (
     DEGENERATION_PAIRS,
-    DOMINANCE_PAIRS,
+    LOCI,
     FamiliesError,
     deformation_table,
     dominance_report,
@@ -299,11 +299,10 @@ def cmd_cohomology(args):
 
 
 def cmd_dominance(args):
-    if args.locus not in DOMINANCE_PAIRS:
-        raise CommandFailure(
-            EXIT_INVALID, "unknown locus %r (choose from %s)" % (
-                args.locus, ", ".join(DOMINANCE_PAIRS)))
-    spec = locus(args.locus)
+    try:
+        spec = locus(args.locus)
+    except FamiliesError as exc:
+        raise CommandFailure(EXIT_INVALID, str(exc))
     lines = ["locus %s  weights (%d, %d, %d)  dimension %d" % (
         (args.locus,) + spec.weights + (spec.dimension,))]
     reports = []
@@ -557,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dominance", cmd_dominance,
             "rank of the orbit-plus-locus differential at seeded points")
     p.add_argument("--locus", required=True,
-                   help="one of %s" % ", ".join(DOMINANCE_PAIRS))
+                   help="one of %s" % ", ".join(LOCI))
     p.add_argument("--seeds", type=_positive, default=5,
                    help="number of consecutive seeds (default 5)")
     p.add_argument("--seed", type=int, default=0,

@@ -62,21 +62,10 @@ _SECTION_NAMES = {
                 ("d0",), ("g0",), ("h0",)),
 }
 
-# Alternative labelling for weights (4,0,0), used by the constructions
-# that diagonalize the fiber form: the off-diagonal sigma02 block takes
-# the d names and the three constant blocks take c0, c1, c2.
-_DIAGONAL_NAMES_400 = (_span("a", 9), _span("b", 5), _span("d", 5),
-                       ("c0",), ("c1",), ("c2",))
 
-
-def coefficient_names(weights, diagonal: bool = False):
+def coefficient_names(weights):
     """The six per-block name tuples for the given weights."""
     w = weights.tuple if isinstance(weights, Weights) else tuple(weights)
-    if diagonal:
-        if w != (4, 0, 0):
-            raise FamiliesError(
-                "the diagonal labelling only exists for weights (4,0,0)")
-        return _DIAGONAL_NAMES_400
     try:
         return _SECTION_NAMES[w]
     except KeyError:
@@ -87,11 +76,11 @@ def _flat(names6) -> tuple:
     return tuple(n for blk in names6 for n in blk)
 
 
-def generic_bundle(weights, diagonal: bool = False) -> ConicBundle:
+def generic_bundle(weights) -> ConicBundle:
     """Fully symbolic member of the family: every coefficient is its
     own parameter, 22 in total for the degree-8 types."""
     w = weights if isinstance(weights, Weights) else Weights(*weights)
-    names = coefficient_names(w, diagonal)
+    names = coefficient_names(w)
     params = _flat(names)
     variables = X2 + params
     idx = {v: k for k, v in enumerate(variables)}
@@ -108,11 +97,11 @@ def generic_bundle(weights, diagonal: bool = False) -> ConicBundle:
     return ConicBundle(weights=w, sigma=tuple(sigma), params=params)
 
 
-def bundle_from_coefficients(weights, values, diagonal: bool = False) -> ConicBundle:
+def bundle_from_coefficients(weights, values) -> ConicBundle:
     """Numeric bundle from a {name: value} mapping; missing names count
     as zero, extra keys (sampler auxiliaries) are ignored."""
     w = weights if isinstance(weights, Weights) else Weights(*weights)
-    names = coefficient_names(w, diagonal)
+    names = coefficient_names(w)
     sigma = []
     for (i, j), blk in zip(PAIRS, names):
         d = w[i] + w[j]
@@ -125,28 +114,14 @@ def bundle_from_coefficients(weights, values, diagonal: bool = False) -> ConicBu
     return ConicBundle(weights=w, sigma=tuple(sigma))
 
 
-def bundle_coefficients(cb: ConicBundle, diagonal: bool = False) -> dict:
+def bundle_coefficients(cb: ConicBundle) -> dict:
     """Named coefficients of a numeric bundle (inverse of
     bundle_from_coefficients on its image)."""
     if cb.params:
         raise FamiliesError("coefficient naming needs a numeric bundle; "
                             "instantiate first")
-    names = coefficient_names(cb.weights, diagonal)
-    a = cb.weights.tuple
-    out = {}
-    for (i, j), blk, s in zip(PAIRS, names, cb.sigma):
-        d = a[i] + a[j]
-        s = s.align(X2)
-        seen = set()
-        for k, nm in enumerate(blk):
-            out[nm] = s.coeff((d - k, k))
-            seen.add((d - k, k))
-        stray = [e for e in s.terms if e not in seen]
-        if stray:
-            raise FamiliesError(
-                "sigma%d%d has a term of x-degree %d outside the naming "
-                "table" % (i, j, sum(stray[0])))
-    return out
+    names = _flat(coefficient_names(cb.weights))
+    return dict(zip(names, coefficient_vector(cb)))
 
 
 def coefficient_vector(cb: ConicBundle) -> tuple:
@@ -394,14 +369,13 @@ class LocusSpec:
     space."""
     name: str
     weights: tuple
-    diagonal: bool
     relations: tuple
 
-    @property
+    @cached_property
     def names(self) -> tuple:
-        return _flat(coefficient_names(self.weights, self.diagonal))
+        return _flat(coefficient_names(self.weights))
 
-    @property
+    @cached_property
     def free(self) -> tuple:
         deps = {dep for dep, _ in self.relations}
         return tuple(nm for nm in self.names if nm not in deps)
@@ -434,19 +408,21 @@ class LocusSpec:
         return out
 
 
+# The table order is the order the CLI lists the loci in.
 LOCI = {
     "U_433222": LocusSpec(
-        name="U_433222", weights=(2, 1, 1), diagonal=False,
+        name="U_433222", weights=(2, 1, 1),
         relations=(("a0", "a0"), ("a1", "a1"), ("a3", "a3"), ("a4", "a4"),
                    ("c3", "b0*c3 - c0*b3"))),
     "U_442420": LocusSpec(
-        name="U_442420", weights=(2, 2, 0), diagonal=False,
+        name="U_442420", weights=(2, 2, 0),
         relations=(("a3", "a3"), ("a4", "a4"), ("c2", "c2"))),
+    # sigma22 = 0; the name keeps the diagonal (4,0,0) labelling, where
+    # the constant sigma22 was c2
     "U_c2zero": LocusSpec(
-        name="U_c2zero", weights=(4, 0, 0), diagonal=True,
-        relations=(("c2", "c2"),)),
+        name="U_c2zero", weights=(4, 0, 0), relations=(("h0", "h0"),)),
     "U12": LocusSpec(
-        name="U12", weights=(4, 0, 0), diagonal=False,
+        name="U12", weights=(4, 0, 0),
         relations=(
             ("a7", "a7"),
             ("a8", "a8"),
@@ -462,16 +438,13 @@ LOCI = {
         )),
 }
 
-# The four dominance statements: which locus feeds which weights.
-DOMINANCE_PAIRS = ("U_433222", "U_442420", "U_c2zero", "U12")
-
 
 def locus(name: str) -> LocusSpec:
     try:
         return LOCI[name]
     except KeyError:
         raise FamiliesError("unknown locus %r (choose from %s)"
-                            % (name, ", ".join(sorted(LOCI))))
+                            % (name, ", ".join(LOCI)))
 
 
 def first_violation(spec: LocusSpec, values: dict):
@@ -496,7 +469,7 @@ def locus_member(spec: LocusSpec, seed, lo: int = -9,
                                  for nm in spec.free})
         except FamiliesError:
             return None
-        cb = bundle_from_coefficients(spec.weights, values, spec.diagonal)
+        cb = bundle_from_coefficients(spec.weights, values)
         return validate_bundle(cb) if admissible(cb) else None
 
     return seeded_draw("%s#%s" % (spec.name, seed), draw,
@@ -539,7 +512,7 @@ def jacobian_rank_at_identity(spec: LocusSpec,
     if cb.weights.tuple != spec.weights:
         raise FamiliesError("bundle weights %s do not match locus %s"
                             % (cb.weights, spec.name))
-    values = bundle_coefficients(cb, spec.diagonal)
+    values = bundle_coefficients(cb)
     if first_violation(spec, values) is not None:
         raise FamiliesError("bundle is not on locus %s" % spec.name)
     f0 = coefficient_vector(cb)
@@ -640,57 +613,16 @@ class DegenerationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-# Every piece of display data below is hard-coded: parametrizations as
-# monomial lists, determinantal matrices as index rows (an entry is the
-# coordinate of that index), ambient quadrics as (name, i, j) couplings,
-# and the expected specialized coefficient forms as polynomial strings.
-
-_F211_P9 = ("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
-            "x0^2*y1", "x0*x1*y1", "x1^2*y1",
-            "x0^2*y2", "x0*x1*y2", "x1^2*y2")
-_G220_P9 = ("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
-            "x0^3*y1", "x0^2*x1*y1", "x0*x1^2*y1", "x1^3*y1",
-            "x0*y2", "x1*y2")
-# The P^6 map of each weight type, with the two index rows whose 2x2
-# minors vanish on its image.
-_P6_MAPS = {
-    (2, 1, 1): (("x0^2*y0", "x0*x1*y0", "x1^2*y0",
-                 "x0*y1", "x1*y1", "x0*y2", "x1*y2"),
-                ((0, 1, 3, 5), (1, 2, 4, 6))),
-    (2, 2, 0): (("x0^2*y0", "x0*x1*y0", "x1^2*y0",
-                 "x0^2*y1", "x0*x1*y1", "x1^2*y1", "y2"),
-                ((0, 1, 3, 4), (1, 2, 4, 5))),
-    (3, 1, 0): (("x0^3*y0", "x0^2*x1*y0", "x0*x1^2*y0", "x1^3*y0",
-                 "x0*y1", "x1*y1", "y2"),
-                ((0, 1, 2, 4), (1, 2, 3, 5))),
-    (4, 0, 0): (("x0^4*y0", "x0^3*x1*y0", "x0^2*x1^2*y0", "x0*x1^3*y0",
-                 "x1^4*y0", "y1", "y2"),
-                ((0, 1, 2, 3), (1, 2, 3, 4))),
-}
-
-_Q_TERMS_211 = (
-    ("a0", 0, 0), ("a1", 0, 1), ("a2", 1, 1), ("a3", 1, 2), ("a4", 2, 2),
-    ("b0", 0, 3), ("b1", 1, 3), ("b2", 2, 3), ("d0", 3, 3),
-    ("b3", 2, 4), ("d1", 3, 4), ("d2", 4, 4),
-    ("c0", 0, 5), ("c1", 1, 5), ("c2", 2, 5), ("g0", 3, 5), ("g1", 4, 5),
-    ("h0", 5, 5),
-    ("c3", 2, 6), ("g2", 4, 6), ("h1", 5, 6), ("h2", 6, 6),
-)
-_Q_TERMS_220 = (
-    ("a0", 0, 0), ("a1", 0, 1), ("a2", 1, 1), ("a3", 1, 2), ("a4", 2, 2),
-    ("b0", 0, 3), ("b1", 1, 3), ("b2", 2, 3), ("b3", 2, 4), ("b4", 2, 5),
-    ("c0", 0, 6), ("c1", 1, 6), ("c2", 2, 6),
-    ("d0", 3, 3), ("d1", 3, 4), ("d2", 4, 4), ("d3", 4, 5), ("d4", 5, 5),
-    ("g0", 3, 6), ("g1", 4, 6), ("g2", 5, 6), ("h0", 6, 6),
-)
-_Q_TERMS_310 = (
-    ("a0", 0, 0), ("a1", 0, 1), ("a2", 1, 1), ("a3", 1, 2), ("a4", 2, 2),
-    ("a5", 2, 3), ("a6", 3, 3),
-    ("b0", 0, 4), ("b1", 1, 4), ("b2", 2, 4), ("b3", 3, 4), ("b4", 3, 5),
-    ("c0", 0, 6), ("c1", 1, 6), ("c2", 2, 6), ("c3", 3, 6),
-    ("d0", 4, 4), ("d1", 4, 5), ("d2", 5, 5),
-    ("g0", 4, 6), ("g1", 5, 6), ("h0", 6, 6),
-)
+# The maps, their rank-one rows and the ambient quadrics are derived from
+# the weights and the naming table.  The P^n map of weights a lists,
+# block i after block i-1, the components x0^(a_i - r)*x1^r*y_i for
+# r = 0..a_i.  Its rank-one rows are each block minus its last index
+# over each block minus its first.  The ambient quadric gives the name of
+# x1^k in sigma_ij the coordinates (floor(k/2), ceil(k/2)) of block i
+# when i = j, and otherwise entry min(k, a_i) of block i and entry
+# k - min(k, a_i) of block j.  Only the expected specialized coefficient
+# forms are hard-coded, as polynomial strings, so that the dictionary
+# checks do not restate the derivation.
 
 _DICT_211_220 = (
     "a0*x0^4 + a1*x0^3*x1 + a2*x0^2*x1^2 + a3*x0*x1^3 + a4*x1^4",
@@ -723,10 +655,41 @@ _DICT_310_400 = (
 )
 
 
-def _quadric_pullback(terms, comps, ring):
+def _map_blocks(a) -> list:
+    """The component indices of the P^n map of weights a, per block."""
+    out, n = [], 0
+    for ai in a:
+        out.append(range(n, n + ai + 1))
+        n += ai + 1
+    return out
+
+
+def _weight_map(a, ring) -> list:
+    """The components of the P^n map of weights a."""
+    x0, x1, *y = (MultiPoly.variable(ring, v) for v in V5)
+    return [x0 ** (ai - r) * x1 ** r * y[i]
+            for i, ai in enumerate(a) for r in range(ai + 1)]
+
+
+def _rank_one_rows(a) -> tuple:
+    blocks = _map_blocks(a)
+    return (tuple(k for b in blocks for k in b[:-1]),
+            tuple(k for b in blocks for k in b[1:]))
+
+
+def _ambient_quadric(a, comps, ring) -> MultiPoly:
+    """The ambient quadric of the weights-a family, in the coordinates
+    of its P^6, pulled back along comps."""
+    blocks = _map_blocks(a)
     acc = MultiPoly.zero(ring)
-    for nm, i, j in terms:
-        acc = acc + parse_poly(nm, ring) * comps[i] * comps[j]
+    for (i, j), names in zip(PAIRS, coefficient_names(a)):
+        for k, nm in enumerate(names):
+            if i == j:
+                u, v = blocks[i][k // 2], blocks[i][(k + 1) // 2]
+            else:
+                r = min(k, a[i])
+                u, v = blocks[i][r], blocks[j][k - r]
+            acc = acc + MultiPoly.variable(ring, nm) * comps[u] * comps[v]
     return acc
 
 
@@ -785,12 +748,12 @@ def _composition_check(checks, label, lhs, rhs, factor):
     checks.append(DegenerationCheck(label, ok_all, detail))
 
 
-# pair: (source weights, target weights, the ambient quadric in the
-# coordinates of the source's P^6, the expected specialized dictionary)
+# pair: (source weights, target weights, the expected specialized
+# dictionary)
 DEGENERATIONS = {
-    "211->220": ((2, 1, 1), (2, 2, 0), _Q_TERMS_211, _DICT_211_220),
-    "220->310": ((2, 2, 0), (3, 1, 0), _Q_TERMS_220, _DICT_220_310),
-    "310->400": ((3, 1, 0), (4, 0, 0), _Q_TERMS_310, _DICT_310_400),
+    "211->220": ((2, 1, 1), (2, 2, 0), _DICT_211_220),
+    "220->310": ((2, 2, 0), (3, 1, 0), _DICT_220_310),
+    "310->400": ((3, 1, 0), (4, 0, 0), _DICT_310_400),
 }
 DEGENERATION_PAIRS = tuple(DEGENERATIONS)
 
@@ -805,41 +768,40 @@ def verify_degeneration(pair: str) -> DegenerationReport:
     if key not in DEGENERATIONS:
         raise FamiliesError("unknown degeneration %r (choose from %s)"
                             % (pair, ", ".join(DEGENERATIONS)))
-    source, target, quadric, expected = DEGENERATIONS[key]
-    ring = V5 + _flat(_SECTION_NAMES[source])
-    (f_text, f_rows), (g_text, g_rows) = _P6_MAPS[source], _P6_MAPS[target]
-    f = [parse_poly(m, ring) for m in f_text]
-    g = [parse_poly(m, ring) for m in g_text]
+    source, target, expected = DEGENERATIONS[key]
+    ring = V5 + _flat(coefficient_names(source))
+    f, g = _weight_map(source, ring), _weight_map(target, ring)
     checks = []
     if key == "211->220":
-        _big_embedding_checks(checks, ring, f, g)
-    _minor_check(checks, "rank-one rows on the source map", f, f_rows)
-    _minor_check(checks, "rank-one rows on the target map", g, g_rows)
-    _source_family_check(checks, _quadric_pullback(quadric, f, ring), source)
-    _dictionary_checks(checks, _quadric_pullback(quadric, g, ring),
+        _big_embedding_checks(checks, ring, (f, g), (source, target))
+    _minor_check(checks, "rank-one rows on the source map", f,
+                 _rank_one_rows(source))
+    _minor_check(checks, "rank-one rows on the target map", g,
+                 _rank_one_rows(target))
+    _source_family_check(checks, _ambient_quadric(source, f, ring), source)
+    _dictionary_checks(checks, _ambient_quadric(source, g, ring),
                        expected, target)
     return DegenerationReport(pair=key, source=source, target=target,
                               checks=tuple(checks))
 
 
-def _big_embedding_checks(checks, ring, f, g):
-    """211->220 only: both P^6 maps are relative projections of P^9
-    embeddings, which are rank-one determinantal too."""
-    F = [parse_poly(m, ring) for m in _F211_P9]
-    G = [parse_poly(m, ring) for m in _G220_P9]
+def _big_embedding_checks(checks, ring, maps, weights):
+    """211->220 only: both P^6 maps are relative projections of the P^9
+    maps of the weights one higher, which are rank-one determinantal
+    too.  The projection keeps the components with a factor x1, the
+    second rank-one row."""
     x1 = MultiPoly.variable(ring, "x1")
-    _composition_check(checks,
-                       "projection of the big source embedding recovers "
-                       "the source map (factor x1)",
-                       [F[k] for k in (1, 2, 3, 5, 6, 8, 9)], f, x1)
-    _composition_check(checks,
-                       "projection of the big target embedding recovers "
-                       "the target map (factor x1)",
-                       [G[k] for k in (1, 2, 3, 5, 6, 7, 9)], g, x1)
-    _minor_check(checks, "rank-one rows on the source embedding (big)",
-                 F, ((0, 1, 2, 4, 5, 7, 8), (1, 2, 3, 5, 6, 8, 9)))
-    _minor_check(checks, "rank-one rows on the target embedding (big)",
-                 G, ((0, 1, 2, 4, 5, 6, 8), (1, 2, 3, 5, 6, 7, 9)))
+    sides = ("source", "target")
+    big = [tuple(ai + 1 for ai in a) for a in weights]
+    big_maps = [_weight_map(a, ring) for a in big]
+    for side, a, F, f in zip(sides, big, big_maps, maps):
+        _composition_check(checks,
+                           "projection of the big %s embedding recovers "
+                           "the %s map (factor x1)" % (side, side),
+                           [F[k] for k in _rank_one_rows(a)[1]], f, x1)
+    for side, a, F in zip(sides, big, big_maps):
+        _minor_check(checks, "rank-one rows on the %s embedding (big)"
+                     % side, F, _rank_one_rows(a))
 
 
 # -- hypotheses of the final specialization step ---------------------------

@@ -70,11 +70,11 @@ class PlaneCurve:
         return cls(poly=poly, degree=poly.total_degree())
 
 
-def multiplicity_at(poly: MultiPoly, point, variables=None):
+def multiplicity_at(poly: MultiPoly, point):
     """Multiplicity of a projective hypersurface at a point, with the
     tangent cone: translate the point to the origin of an affine chart
     and read the lowest total degree part."""
-    variables = variables or poly.vars
+    variables = poly.vars
     pt = [Fraction(x) for x in point]
     chart = next(i for i, x in enumerate(pt) if x)
     pt = [x / pt[chart] for x in pt]
@@ -372,7 +372,7 @@ def u12_delta(coeffs: dict) -> Fraction:
 # The slice of U12 the chain runs on: off it the deep point carries a
 # different infinitely-near structure and the degree sequence breaks.
 CHAIN_SLICE = LocusSpec(name="the chain slice", weights=(4, 0, 0),
-                        diagonal=False, relations=(("c3", "b3 + c3"),))
+                        relations=(("c3", "b3 + c3"),))
 
 # What the chain needs of a U12 member, in the order chain_U12 checks
 # it: (a value on the named coefficients that must not vanish, the

@@ -32,7 +32,6 @@ from .bundles import (
     half_gram_det,
 )
 from .exactmath import MultiPoly, RatFunc, is_square_rat, sqrt_rat
-from .exactmath.univariate import as_univariate
 
 HALF = Fraction(1, 2)
 
@@ -270,10 +269,15 @@ class MestreFailure:
     B: Fraction
 
 
-def mestre_core(cb: ConicBundle):
-    """The normal-form pipeline: P = -4*delta/sigma22, its leading
-    coefficient B and next coefficient A, and the recentred polynomial
-    R(u) = P(-A/(8B) - u)."""
+def mestre_normal_form(cb: ConicBundle):
+    """The monic degree-8 model T(u) = P(shift - u)/B with no u^7 term,
+    where P = -4*delta/sigma22 has leading coefficient B and next
+    coefficient A and shift = -A/(8B), plus the conic scalar
+    c = 1/((sigma12^2 - 4*sigma11*sigma22) * B).  Needs 1/B to be a
+    rational square; otherwise reports the failure."""
+    if cb.params:
+        raise MestreError("normal form needs a numeric bundle; "
+                          "fix the parameters first")
     if cb.weights.tuple != (4, 0, 0):
         raise MestreError("normal form needs weights (4,0,0), got %s"
                           % cb.weights)
@@ -286,58 +290,22 @@ def mestre_core(cb: ConicBundle):
     if not disc0:
         raise MestreError(
             "degenerate pivot: sigma12^2 - 4*sigma11*sigma22 = 0")
-    _, delta = as_univariate(dehomogenize(discriminant_form(cb)), "t")
-    delta = delta + [Fraction(0)] * (9 - len(delta))
-    p_low = [Fraction(d * -4, c2) for d in delta]
-    B = p_low[8]
-    A = p_low[7]
+    P = dehomogenize(discriminant_form(cb)) * Fraction(-4, c2)
+    B, A = P.coeff((8,)), P.coeff((7,))
     if not B:
         raise MestreError("precondition failed: deg P < 8 "
                           "(leading coefficient vanishes)")
     shift = -Fraction(A, B * 8)
-    # R(u) = P(shift - u), expanded exactly
-    r_low = [Fraction(0)] * 9
-    pw = [Fraction(1)]  # powers of (shift - u) as coefficient lists in u
-    for k in range(9):
-        if p_low[k]:
-            for e, ce in enumerate(pw):
-                r_low[e] = r_low[e] + p_low[k] * ce
-        if k < 8:
-            new = [Fraction(0)] * (len(pw) + 1)
-            for e, ce in enumerate(pw):
-                new[e] = new[e] + ce * shift
-                new[e + 1] = new[e + 1] - ce
-            pw = new
-    t_low = [Fraction(r, B) for r in r_low]
-    return {
-        "P_low": p_low, "A": A, "B": B, "shift": shift,
-        "T_low": t_low, "disc0": disc0, "c2": c2,
-    }
-
-
-def mestre_normal_form(cb: ConicBundle):
-    """Monic degree-8 model T(u) with no u^7 term, plus the conic
-    scalar c = 1/((sigma12^2 - 4*sigma11*sigma22) * B).  Needs 1/B to
-    be a rational square; otherwise reports the failure."""
-    if cb.params:
-        raise MestreError("normal form needs a numeric bundle; "
-                          "fix the parameters first")
-    core = mestre_core(cb)
-    B = core["B"]
-    t_low = core["T_low"]
-    if t_low[8] != 1:
+    u = MultiPoly.variable(("u",), "u")
+    T = P.substitute({"t": shift - u}) * Fraction(1, B)
+    if T.coeff((8,)) != 1:
         raise AssertionError("T failed to come out monic")
-    if t_low[7] != 0:
+    if T.coeff((7,)):
         raise AssertionError("u^7 coefficient failed to vanish")
     inv_b = Fraction(1, B)
     if not is_square_rat(inv_b):
         return MestreFailure(
             reason="hypotheses fail: leading coefficient not a square "
                    "(1/B = %s)" % inv_b, B=B)
-    xi = sqrt_rat(inv_b)
-    c = Fraction(1, core["disc0"] * B)
-    T = MultiPoly.from_univariate(("u",), "u", t_low)
-    return MestreModel(T=T, c=c, shift=core["shift"], xi=xi, B=B,
-                       A=core["A"],
-                       P=MultiPoly.from_univariate(("t",), "t",
-                                                   core["P_low"]))
+    return MestreModel(T=T, c=Fraction(1, disc0 * B), shift=shift,
+                       xi=sqrt_rat(inv_b), B=B, A=A, P=P)

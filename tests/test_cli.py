@@ -31,7 +31,7 @@ from conicbundles.cli import (
     EXIT_OK,
     main,
 )
-from conicbundles.families import DEGENERATION_PAIRS, DOMINANCE_PAIRS
+from conicbundles.families import DEGENERATION_PAIRS, LOCI
 from conicbundles.plane import ConicQ
 from conicbundles.quadforms import brauer_model
 
@@ -697,6 +697,87 @@ def test_degenerate_contract(capsys):
     assert_reruns_identical(capsys, argv, EXIT_INVALID)
 
 
+# (command line, exit code, sha256 of stdout as text, of stdout as JSON).
+# The mestre files are read by relative path, from a directory that holds
+# min844.cb and the B = 4 bundle of test_mestre_contract, so the "file"
+# field of the JSON payload is the same wherever the tests run.
+PINNED_OUTPUTS = (
+    ("dominance --locus U_433222 --seeds 1 --seed 0", 0,
+     "a1ff5a992f2531a6d5459f32d158ccc0b2c6cfa3ba16d6f18abf3df9d04e5380",
+     "504df39583f28d6b6b33f0f41177daa40695082f4840d3d53adac44f7e65b352"),
+    ("dominance --locus U_433222 --seeds 1 --seed 1", 0,
+     "cafe827c63616de6c28061566a52f85adfed26fd820c456067270fc37b8da5d9",
+     "464e315668336ce6c06b3486a219865fcd6ce946b34ceadcb88ef4e4809a065d"),
+    ("dominance --locus U_433222 --seeds 1 --seed 2", 0,
+     "10c7c5ff509cf828eaadef2fd2cc8a26f53b3a37a2b5289c8c5908f9c954beff",
+     "cefacfcdefa860618f2c2be2b4b3b93557d2d6dd5dd77926a44a04261920b5cb"),
+    ("dominance --locus U_442420 --seeds 1 --seed 0", 0,
+     "4149f4b89e5d52cd751c6578d095cc9cfebd9f4963041372176cf9fe56ef3e10",
+     "d2a7ab8a786249f5fd78030ef864b6654b595a35d26f6f010be049dc83b9add2"),
+    ("dominance --locus U_442420 --seeds 1 --seed 1", 0,
+     "c106f637ae2aa6aa3d8607fc7bbcb1b8ac749543f978b87a908e74d832fed4ae",
+     "f40dd4cac9f8b2724bbdfbbeba8e0b0418a7eafa25c1d4c52ae9eaba8d024612"),
+    ("dominance --locus U_442420 --seeds 1 --seed 2", 0,
+     "2c143e71d00b8902b102fe1c9ab3a1dce11e8e7ac241bb51b343e0552ea92183",
+     "0832c1def8c66c8d8eff3f0ba1c4e3bae66668a771665ecbab585bce93406126"),
+    ("dominance --locus U_c2zero --seeds 1 --seed 0", 0,
+     "d44d760fbdd874dce14e61b013494bb59d9735a0ef9e084c08597b091620bd60",
+     "eb9f0579735d20fec7548cb71f2edf1cc25110294184071108c43e91cb5935dd"),
+    ("dominance --locus U_c2zero --seeds 1 --seed 1", 0,
+     "381fac8e363dbb0616f8597b884f646e7fc587573b7a71b52bfa89f7603b2a82",
+     "b0ff34abdc4be6b8b1baa576e399427814f3d90e3b90d6da56b6d4cf0d7bc4f7"),
+    ("dominance --locus U_c2zero --seeds 1 --seed 2", 0,
+     "bc61e57ae2f4f4256ea765877c8772e72f6c714893c497d0300d3bdcdeeaf1c5",
+     "dd38a4047f805499086f4eda80562700d3de0b41efcfb55a9f264122b124573f"),
+    ("dominance --locus U12 --seeds 1 --seed 0", 0,
+     "f84f5799c3cabba7b11e35677834458a2a41bcd4c2ba65c42e71f0280ff4a31d",
+     "15bcbe69f0e01b29b1828bd1798a60b53d5ce03ffe986b243d33606ec176a72d"),
+    ("dominance --locus U12 --seeds 1 --seed 1", 0,
+     "85ca31b8ee7b0304cbb435040c5766fd1875d968333bbbf03855afa7dd33f096",
+     "698722beeaaaf8919b9a3d72b90ccf40891041a33633530b61d4a657da1fd221"),
+    ("dominance --locus U12 --seeds 1 --seed 2", 0,
+     "4488300ad6406ad800a4cb8cac1ba217a51785804e7082e110c4689a0d5230f5",
+     "af257beca973ef2ad08c0eaff158f818250fd0ba98c8ebc3cc10d5bda7c5f1f3"),
+    ("dominance --locus U_442420 --seeds 1 --seed 3044", 2,
+     "2b833f7737dcacfd01dc4c249b02dd831e4bff78971f322bd2dda6516daec79d",
+     "913b5bff2c0ef2f01d57cef58d81a380877426794984713aac20253194c98e7f"),
+    ("dominance --locus U_433222 --seeds 1 --seed 14020", 2,
+     "8a340940edc69b6063a15952c7fd6ed5a5f8876374f6671c138a08435622c711",
+     "fcd483cb37ddc8ae0747e917393c006f087913fc24cafdb5ae364ebe3c854d31"),
+    ("degenerate --pair 211->220", 0,
+     "33b85d70ced4fa5a10573d823563567cfc5b5978e18ccb102d7703e89558ffc5",
+     "0cc337e5fe47b74a9796b723a969b9e7f7ad251af27aead71db6d15e223d1e3e"),
+    ("degenerate --pair 220->310", 0,
+     "68c6e8806b14d94bfafc3896a7d7e31bda3654b980509b02f48243d7ad699043",
+     "d606a86eb4a8b724316a90be056fed2db2a15df00bfa2ca4b58a43c66b970aa8"),
+    ("degenerate --pair 310->400", 0,
+     "0cf7d157d714500c863fa0380b9820565a3e71664bea021dd25eb8c8b0d50247",
+     "3174789505393300798b04f33403b471c04fe04ed4f2a70e10322696e95f0e27"),
+    ("mestre min844.cb", 3,
+     "797b45c035e872f7710c0e8d1ab2dcc3f8c9b6834b77f2c88db0f90144c41461",
+     "824988a1e8f3ff1884097f613c3bbd338fb3a13bd2c17cd69d7d583b880b0fb4"),
+    ("mestre b4.cb", 0,
+     "c2b49df2b2968ed36aa604a03b4af784996d8e13d461b58ee54a74afc020b021",
+     "6e0519306ee74f84298a0a5539eba633574bb272f083650326e53f867e501ef5"),
+)
+
+
+def test_outputs_pinned_by_hash(capsys, tmp_path, monkeypatch):
+    (tmp_path / "min844.cb").write_text(
+        (files("conicbundles") / "fixtures" / "min844.cb").read_text())
+    (tmp_path / "b4.cb").write_text(
+        "weights = 4 0 0\nsigma00 = x0^8\nsigma01 = x0^4\n"
+        "sigma02 = x0^4\nsigma11 = -1\nsigma12 = 1\nsigma22 = 1\n")
+    monkeypatch.chdir(tmp_path)
+    for line, code, text_hash, json_hash in PINNED_OUTPUTS:
+        for fmt, want in (([], text_hash), (["--output", "json"], json_hash)):
+            argv = line.split() + fmt
+            assert main(argv) == code, argv
+            out = capsys.readouterr()
+            assert out.err == "", argv
+            assert hashlib.sha256(out.out.encode()).hexdigest() == want, argv
+
+
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of the command in a new interpreter."""
     root = Path(files("conicbundles")).parent
@@ -736,7 +817,7 @@ def _every_command_on_the_fixtures():
     yield ["enumerate", "--d", "8"]
     for weights in ("2,1,1", "2,2,0", "3,1,0", "4,0,0"):
         yield ["cohomology", "--type", weights]
-    for name in DOMINANCE_PAIRS:
+    for name in LOCI:
         yield ["dominance", "--locus", name, "--seeds", "1"]
     yield ["cremona-chain"]
     yield ["cremona-chain", "--seed", "3"]

@@ -22,7 +22,6 @@ from conicbundles.exactmath import Jet, is_squarefree, parse_poly
 from conicbundles.exactmath.univariate import as_univariate
 from conicbundles.families import (
     DEGENERATION_PAIRS,
-    DOMINANCE_PAIRS,
     LOCI,
     AutParams,
     FamiliesError,
@@ -47,15 +46,15 @@ from conicbundles.families import (
 ALL_WEIGHTS = ((2, 1, 1), (2, 2, 0), (3, 1, 0), (4, 0, 0))
 
 
-def flat_names(w, diagonal=False):
-    return tuple(n for blk in coefficient_names(w, diagonal) for n in blk)
+def flat_names(w):
+    return tuple(n for blk in coefficient_names(w) for n in blk)
 
 
 def on_locus(spec, cb):
     """Exact membership of a numeric bundle: the weights, then every
     relation of the table."""
     return cb.weights.tuple == spec.weights and first_violation(
-        spec, bundle_coefficients(cb, spec.diagonal)) is None
+        spec, bundle_coefficients(cb)) is None
 
 
 # -- namings ---------------------------------------------------------------
@@ -71,16 +70,11 @@ def test_coefficient_names_shapes():
         assert tuple(len(b) for b in names) == sz
         assert len(flat_names(w)) == 22
         assert names[0][0] == "a0"
-    diag = coefficient_names((4, 0, 0), diagonal=True)
-    assert tuple(len(b) for b in diag) == (9, 5, 5, 1, 1, 1)
-    assert diag[2][0] == "d0" and diag[3] == ("c0",) and diag[5] == ("c2",)
 
 
 def test_coefficient_names_errors():
     with pytest.raises(FamiliesError, match="naming"):
         coefficient_names((1, 1, 1))
-    with pytest.raises(FamiliesError, match="diagonal"):
-        coefficient_names((2, 1, 1), diagonal=True)
 
 
 def test_generic_bundle_round_trip():
@@ -102,7 +96,7 @@ def test_bundle_coefficients_guards():
     with pytest.raises(FamiliesError, match="numeric"):
         bundle_coefficients(generic_bundle((2, 1, 1)))
     lopsided = make_bundle((2, 1, 1), ("x0^3", "0", "0", "0", "0", "0"))
-    with pytest.raises(FamiliesError, match="naming"):
+    with pytest.raises(FamiliesError, match="not a form of degree 4"):
         bundle_coefficients(lopsided)
 
 
@@ -174,9 +168,10 @@ def test_locus_lookup():
     assert locus("U12").dimension == 13
     assert locus("U12").weights == (4, 0, 0)
     assert locus("U_433222").dimension == 17
-    with pytest.raises(FamiliesError, match="unknown locus"):
+    # the loci are listed in table order, as the CLI lists them
+    with pytest.raises(FamiliesError, match=r"unknown locus 'U_nope' "
+                       r"\(choose from U_433222, U_442420, U_c2zero, U12\)"):
         locus("U_nope")
-    assert set(DOMINANCE_PAIRS) <= set(LOCI)
 
 
 def test_locus_members_deterministic_and_admissible():
@@ -205,7 +200,7 @@ def test_locus_tables_are_triangular():
     # each row is linear in its dependent and mentions only free names
     # and earlier dependents, so the table solves top to bottom
     for spec in LOCI.values():
-        names = flat_names(spec.weights, spec.diagonal)
+        names = flat_names(spec.weights)
         known = set(spec.free)
         for dep, text in spec.relations:
             rel = parse_poly(text, names)
@@ -235,7 +230,7 @@ def test_u12_template_is_the_u12_table():
 def test_dominance_full_rank_per_locus():
     expected_cols = {"U_433222": (11, 17), "U_442420": (13, 19),
                      "U_c2zero": (17, 21), "U12": (17, 13)}
-    for name in DOMINANCE_PAIRS:
+    for name in LOCI:
         rep = dominance_report(name, 0)
         chart, locdim = expected_cols[name]
         assert rep.chart_size == chart
@@ -268,7 +263,7 @@ ORACLE_SEEDS = tuple(range(10)) + (3044, 8041, 14020)
 
 
 def test_group_columns_equal_pullback_eps_parts():
-    for name in DOMINANCE_PAIRS:
+    for name in LOCI:
         spec = locus(name)
         chart = chart_coordinates(spec.weights)
         for seed in ORACLE_SEEDS:

@@ -1,7 +1,8 @@
 """Repository tooling.  The benchmark's tracer patches package functions
 by name; every name it lists must still exist, or `perfbench/run.py
---trace 1` breaks.  Every definition in the package is referenced from
-the package or kept on a list that says why."""
+--trace 1` breaks.  Every definition in the package, module-level
+assignments included, is referenced from the package or kept on a list
+that says why."""
 
 import ast
 import importlib
@@ -59,18 +60,32 @@ UNREFERENCED = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_referenced_or_allowlisted():
-    # a reference is a name or an attribute with the definition's name
-    # anywhere in src/, so a dead method that shares its name with a
-    # live one goes unseen; dunder methods are called by Python itself
+    # a definition is a function, a class or a module-level name bound by
+    # assignment, so a table that a derivation leaves orphaned fails too;
+    # a reference is a name read or an attribute with the definition's
+    # name anywhere in src/, so a dead method that shares its name with a
+    # live one goes unseen; dunders are read by Python itself
     defined, referenced = set(), set()
     for path in SRC.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update(t.id for t in targets
+                               if isinstance(t, ast.Name)
+                               and not _dunder(t.id))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__")
-                        and node.name.endswith("__")):
+                if not _dunder(node.name):
                     defined.add(node.name)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
